@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import galerkin as gk
-from .errors import CharlabError, InvalidArgument
+from .errors import CharlabError, InvalidArgument, NumericFailure
 from .flow import (GaugeField, integrate_flow, integrate_linearized,
                    index_form, path_max_defect)
 from .geometry import surface_from_spec, check_surface_invariants, spec_for_period
-from .index import compute_orbit_index_data, extend_records
+from .index import IndexComputer, compute_orbit_index_data, extend_records
 from .orbits import (find_orbits, gate_orbit, load_registry, write_registry,
                      trajectory_distance)
 from .resonance import (OrbitContribution, chi_partial_averages,
@@ -78,7 +78,24 @@ class RunConfig:
         if surface is None:
             raise InvalidArgument("config missing required field 'surface'")
         if isinstance(surface, str):
-            surface = json.loads((path.parent / surface).read_text())
+            spec_path = path.parent / surface
+            if not spec_path.exists():
+                raise InvalidArgument(
+                    f"config field surface: file {spec_path} does not exist")
+            surface = json.loads(spec_path.read_text())
+        if not isinstance(surface, dict):
+            raise InvalidArgument("config field 'surface' must be an object "
+                                  "or a file name")
+        need = ["radii"] + (["perturbation"] if surface.get("kind")
+                            == "perturbed_ellipsoid" else [])
+        for key in need:
+            if key not in surface:
+                raise InvalidArgument(f"config missing required field "
+                                      f"'surface.{key}'")
+        k_tables = raw.get("k_tables")
+        if k_tables is not None and not Path(k_tables).is_file():
+            raise InvalidArgument(
+                f"config field k_tables: file {k_tables} does not exist")
         tol = dict(_DEFAULT_TOLERANCES)
         tol.update(raw.get("tolerances", {}))
         if overrides.get("tol") is not None:
@@ -90,7 +107,7 @@ class RunConfig:
                      else raw.get("seed", 0)),
             stages=tuple(overrides.get("stages") or raw.get("stages", ALL_STAGES)),
             tolerances=tol,
-            k_tables_path=raw.get("k_tables"),
+            k_tables_path=k_tables,
             orbit_seeds=raw.get("seeds", []),
         )
         cfg.index_opts.update(raw.get("index", {}))
@@ -191,16 +208,20 @@ def _galerkin_cross_validate(cfg, surface, orbits) -> dict:
     return out
 
 
-def stage_index(cfg, surface, orbits) -> dict:
+def _index_data(cfg, orbit_id, path):
     tol = cfg.tolerances
+    return compute_orbit_index_data(
+        orbit_id, path, m_max=int(cfg.index_opts["m_max"]),
+        q_max=int(tol["q_max"]), angle_tol=tol["angle_tol"])
+
+
+def compute_index_stage(cfg, surface, orbits) -> tuple:
+    """Index data per orbit and the index report, without writing it."""
     paths = _orbit_paths(surface, orbits, cfg)
     data = {}
     report = {"orbits": {}}
     for orb in orbits:
-        d = compute_orbit_index_data(
-            orb.orbit_id, paths[orb.orbit_id],
-            m_max=int(cfg.index_opts["m_max"]),
-            q_max=int(tol["q_max"]), angle_tol=tol["angle_tol"])
+        d = _index_data(cfg, orb.orbit_id, paths[orb.orbit_id])
         # periodicity gates for p <= 3 K(y)
         K = d.K_of_y
         extend_records(d, 4 * K)
@@ -225,6 +246,11 @@ def stage_index(cfg, surface, orbits) -> dict:
             "method": d.method,
         }
         data[orb.orbit_id] = d
+    return data, report
+
+
+def stage_index(cfg, surface, orbits) -> dict:
+    data, report = compute_index_stage(cfg, surface, orbits)
     _dump(report, cfg.out_dir / "index_report.json")
     return data
 
@@ -322,13 +348,14 @@ def run(cfg: RunConfig) -> int:
 
 
 def stage_index_from_files(cfg, surface, orbits):
-    """Recompute live index scanners consistently with the stored report."""
+    """Recompute the index data, check it against the stored report and
+    leave the report untouched."""
     report_path = cfg.out_dir / "index_report.json"
     if not report_path.exists():
         raise InvalidArgument(
             f"missing {report_path}; run the index stage first")
     stored = json.loads(report_path.read_text())
-    data = stage_index(cfg, surface, orbits)
+    data, _ = compute_index_stage(cfg, surface, orbits)
     for oid, block in stored["orbits"].items():
         d = data[oid]
         for m, i_m, nu_m in block["records"]:
@@ -357,22 +384,38 @@ def audit(cfg: RunConfig) -> int:
     _dump({"max_defect_per_orbit": sympl, "gate": 1e-8, "pass": sympl_ok},
           cfg.out_dir / "audit_symplecticity.json")
 
+    # the iteration formula against the segment scanner over all m periods
+    m_ref = int(cfg.index_opts["m_max"])
+    index_data = {}
     bott = {}
     bott_ok = True
     for orb in orbits:
-        d = compute_orbit_index_data(orb.orbit_id, paths[orb.orbit_id],
-                                     m_max=int(cfg.index_opts["m_max"]))
+        d = index_data[orb.orbit_id] = _index_data(cfg, orb.orbit_id,
+                                                   paths[orb.orbit_id])
         extend_records(d, 100)
         worst = max(abs(r.index_i - r.iterate_m * d.mean_index)
                     for r in d.records)
         nu_ok = all(1 <= r.nullity_nu <= 2 * d.dim_n - 1 for r in d.records)
+        scanner = IndexComputer(paths[orb.orbit_id])
+        mismatches = []
+        for m in range(1, m_ref + 1):
+            ref = scanner.index_pair(m)
+            if ref != (d.index(m), d.nullity(m)):
+                mismatches.append([m, d.index(m), d.nullity(m), *ref])
+                print(f"charlab audit: orbit {orb.orbit_id}, iterate {m}: "
+                      f"iteration formula gives (i, nu) = "
+                      f"({d.index(m)}, {d.nullity(m)}), segment scanner "
+                      f"{ref}", file=sys.stderr)
         bott[orb.orbit_id] = {"max_deviation": worst,
                               "bound": 2 * d.dim_n,
                               "violations": int(sum(
                                   abs(r.index_i - r.iterate_m * d.mean_index)
                                   > 2 * d.dim_n + 1e-9 for r in d.records)),
-                              "nullity_bounds_ok": nu_ok}
+                              "nullity_bounds_ok": nu_ok,
+                              "scanner_m_max": m_ref,
+                              "scanner_mismatches": mismatches}
         bott_ok &= (bott[orb.orbit_id]["violations"] == 0) and nu_ok
+        bott_ok &= not mismatches
     ok &= bott_ok
     _dump({"orbits": bott, "pass": bott_ok}, cfg.out_dir / "audit_bott.json")
 
@@ -381,8 +424,7 @@ def audit(cfg: RunConfig) -> int:
     kshift_ok = True
     audit_orbits = orbits if surface.dim_n <= 2 else orbits[:1]
     for orb in audit_orbits:
-        d = compute_orbit_index_data(orb.orbit_id, paths[orb.orbit_id],
-                                     m_max=int(cfg.index_opts["m_max"]))
+        d = index_data[orb.orbit_id]
         grid = gk.suggest_K_grid(surface, orb.prime_period,
                                  period_T=float(g["T"]), ratio=float(g["ratio"]),
                                  theta=float(g["theta"]), alpha=float(g["alpha"]),
@@ -472,6 +514,10 @@ def main(argv=None) -> int:
         return 1
     except CharlabError as e:
         print(f"charlab: {type(e).__name__}: {e}", file=sys.stderr)
+        if isinstance(e, NumericFailure) and e.info:
+            print("charlab: diagnostics: " + ", ".join(
+                f"{k}={v!r}" for k, v in sorted(e.info.items())),
+                file=sys.stderr)
         return 1
     print(f"charlab {args.command}: exit {code}")
     return code

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (InvalidArgument, NumericFailure, SearchFailure)
 from .flow import GaugeField, Trajectory
 from .geometry import HamiltonianSpec, Hypersurface, spec_for_period
-from .index import KShiftCheck, dimension_shift
+from .index import dimension_shift
 from .orbits import ClosedCharacteristic
 
 _TWO_PI = 2.0 * np.pi
@@ -424,6 +424,20 @@ def suggest_K_grid(surface: Hypersurface, tau_m: float, *, period_T: float = 1.0
             K += 0.05 * step
         grid.append(float(K))
     return grid
+
+
+@dataclass
+class KShiftCheck:
+    """d(K) bookkeeping across a K grid, against the path index."""
+
+    K_values: list
+    d_of_K: list
+    morse_indices: list
+    nullities: list
+    shifted: list                 # morse index minus d(K)
+    path_index: int
+    path_nullity: int
+    consistent: bool
 
 
 def k_shift_audit(surface: Hypersurface, orbit: ClosedCharacteristic,

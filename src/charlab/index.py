@@ -1,26 +1,28 @@
 """Maslov-type index, nullity, mean index and minimal period of an orbit path.
 
-The integer index of the m-fold iterated path is accumulated from regular
-crossings of ``det(R(t) - I) = 0``:
+Every iterate follows from one period's data by Bott's iteration formula
+(with the splitting numbers of Long, *Index Theory for Symplectic Paths*):
 
-* the start contributes half the signature of the quadratic form S(0);
-* each interior crossing contributes the signature of S(t) restricted to
-  ker(R(t) - I);
-* the endpoint contributes minus the number of negative eigenvalues of that
-  restriction (the lower choice among nearby nondegenerate paths).
+    i(y^m) + n = sum_{omega^m = 1} i_omega(y),
+    nu(y^m)    = sum_{omega^m = 1} dim_C ker(M - omega I).
 
-The same scan at ``det(R(t) - omega I) = 0`` for unit ``omega`` off the
-monodromy spectrum yields a locally constant function of the angle; its
-average over the circle is the mean index.  That average is a finite sum over
-the arcs cut by the monodromy's unit eigenvalue angles, so the mean index
-inherits eigenvalue accuracy (~1e-12) rather than the O(1/m) slope-fit rate.
-The slope fit over the integer index table is kept as a certified cross-check.
+i_omega is locally constant off the monodromy's unit eigenvalues, so it is
+read from a table of the arcs between eigenvalue angles; a root of unity
+within ``angle_tol`` of an eigenvalue angle takes the index at that
+eigenvalue.  A one-period index counts regular crossings of
+``det(R(t) - omega I) = 0``: the start gives half the signature of S(0)
+(omega = 1 only), each interior crossing the signature of S(t) on
+ker(R(t) - omega I), the endpoint minus the negative count of that form.
+The same scan over all m periods (``IndexComputer.index_pair``) is the
+reference ``charlab audit`` checks the formula against.  The arc average of
+i_omega is the mean index, at eigenvalue accuracy (~1e-12); the slope fit
+over the integer table is kept as a certified cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +33,10 @@ from .errors import (ConsistencyFailure, InvalidArgument, InvariantViolation,
 from .flow import SymplecticPath
 
 _TWO_PI = 2.0 * np.pi
+
+
+def _circle_dist(a: float, b: float) -> float:
+    return min(abs(a - b), _TWO_PI - abs(a - b))
 
 
 @dataclass
@@ -44,17 +50,57 @@ class IndexRecord:
 
 
 @dataclass
+class IterationData:
+    """One period's data for the iteration formula: the monodromy's unit
+    eigenvalue angles (0 included), i_omega on the open arcs between them as
+    (lo, hi, i_omega), and (i_omega, dim_C ker(M - omega I)) at each
+    eigen-angle that is a rational turn, in the path normalisation."""
+
+    dim_n: int
+    eigen_angles: list
+    arc_table: list
+    on_point: dict
+    angle_tol: float
+
+    def omega_pair(self, angle: float):
+        """(i_omega, dim_C ker(M - omega I)) at omega = exp(i*angle)."""
+        a = min(self.eigen_angles, key=lambda a: _circle_dist(a, angle))
+        if _circle_dist(a, angle) <= self.angle_tol:
+            if a not in self.on_point:
+                raise NumericFailure(
+                    "a root of unity lands on an eigenvalue angle that is "
+                    "not a recognised rational turn",
+                    angle=float(angle), eigen_angle=float(a))
+            return self.on_point[a]
+        return next((i_om, 0) for lo, hi, i_om in self.arc_table
+                    if lo < angle < hi)
+
+    def index_pair(self, m: int):
+        """(index, nullity) of the m-th iterate, in the surface normalisation:
+        i(y^m) + n and nu(y^m) summed over the m-th roots of unity."""
+        if m < 1:
+            raise InvalidArgument("iterate must be >= 1")
+        pairs = [self.omega_pair(_TWO_PI * k / m) for k in range(m)]
+        total, nu = sum(p[0] for p in pairs), sum(p[1] for p in pairs)
+        if nu < 1 or nu > 2 * self.dim_n - 1:
+            raise InvariantViolation(f"nullity {nu} outside "
+                                     f"[1, {2 * self.dim_n - 1}] at iterate {m}")
+        return total - self.dim_n, nu
+
+
+@dataclass
 class OrbitIndexData:
     """Aggregated index data of a prime orbit."""
 
     orbit_id: str
     dim_n: int
-    records: list                     # IndexRecord for m = 1..m_max
+    records: list                     # IndexRecord for m = 1..len(records)
     mean_index: float
     mean_index_fraction: Fraction | None
     mean_index_bar: float
     slope_estimate: float
     K_of_y: int
+    iteration: IterationData | None = None
     method: str = "both"
 
     def index(self, m: int) -> int:
@@ -70,7 +116,7 @@ class OrbitIndexData:
 
 
 class IndexComputer:
-    """Incremental crossing scanner over iterates of a symplectic path."""
+    """Crossing scanner over one period and over iterates of a path."""
 
     def __init__(self, path: SymplecticPath, *, n_scan: int = 2048,
                  sigma_gate: float = 1e-7, reg_tol: float = 1e-8,
@@ -102,25 +148,19 @@ class IndexComputer:
         self._start_half = sig0 // 2
         self._interior_cache: dict = {}       # k -> signature sum in (k tau, (k+1) tau)
         self._boundary_cache: dict = {}       # k -> signature at t = k tau (or 0)
-        self._nullity_cache: dict = {}
 
     # -- kernels and crossing forms -----------------------------------------
-    def _mono_power(self, k: int) -> np.ndarray:
-        return self.path.monodromy_power(k)
+    def _kernel_dim(self, A: np.ndarray) -> int:
+        s = np.linalg.svd(A, compute_uv=False)
+        return int(np.sum(s < self.nullity_tol * max(1.0, float(s[0]))))
 
     def nullity(self, m: int) -> int:
-        if m not in self._nullity_cache:
-            A = self._mono_power(m) - np.eye(self.d)
-            s = np.linalg.svd(A, compute_uv=False)
-            scale = max(1.0, float(s[0]))
-            nu = int(np.sum(s < self.nullity_tol * scale))
-            self._nullity_cache[m] = nu
-        return self._nullity_cache[m]
+        return self._kernel_dim(self.path.monodromy_power(m) - np.eye(self.d))
 
-    def _kernel(self, A: np.ndarray, complex_ok: bool):
+    def _kernel(self, A: np.ndarray, gate: float | None = None):
         _, s, Vh = np.linalg.svd(A)
         scale = max(1.0, float(s[0]))
-        mask = s < self.sigma_gate * scale
+        mask = s < (gate or self.sigma_gate) * scale
         if not np.any(mask):
             return None, float(s[-1] / scale)
         return Vh[mask].conj().T, float(s[-1] / scale)
@@ -134,29 +174,20 @@ class IndexComputer:
         integration noise dips far below its neighbourhood, a near-tangency
         does not.  Persistent ambiguity raises with the time window.
         """
-        B, smin = self._kernel(A, complex_ok=True)
-        if B is None:
-            if smin < 1e-5:
-                if probe is not None:
-                    h = 1e-5 * max(1.0, self.tau)
-                    side = min(probe(t - h), probe(t + h))
-                    if smin < 0.05 * side:
-                        gate = self.sigma_gate
-                        try:
-                            self.sigma_gate = smin * 2.0 + 1e-300
-                            B, _ = self._kernel(A, complex_ok=True)
-                        finally:
-                            self.sigma_gate = gate
-                    if B is None:
-                        raise NumericFailure(
-                            f"ambiguous near-crossing ({label})",
-                            window=(float(t - h), float(t + h)), sigma=smin)
-                else:
-                    raise NumericFailure(
-                        f"ambiguous near-crossing ({label})", t=float(t),
-                        sigma=smin)
+        B, smin = self._kernel(A)
+        if B is None and smin < 1e-5:
+            if probe is None:
+                raise NumericFailure(f"ambiguous near-crossing ({label})",
+                                     t=float(t), sigma=smin)
+            h = 1e-5 * max(1.0, self.tau)
+            if smin < 0.05 * min(probe(t - h), probe(t + h)):
+                B, _ = self._kernel(A, gate=smin * 2.0 + 1e-300)
             if B is None:
-                return None
+                raise NumericFailure(
+                    f"ambiguous near-crossing ({label})",
+                    window=(float(t - h), float(t + h)), sigma=smin)
+        if B is None:
+            return None
         S = self.path.S_at(t)
         form = B.conj().T @ S @ B
         form = 0.5 * (form + form.conj().T)
@@ -185,11 +216,10 @@ class IndexComputer:
         plus, for real omega, determinant sign changes.  Each refined
         candidate is classified by its numerical kernel.
         """
-        Mk = self._mono_power(k)
+        Mk = self.path.monodromy_power(k)
         Rk = (self.scan_Rs @ Mk if k else self.scan_Rs).astype(complex)
         A = Rk - omega * np.eye(self.d)
-        svals = np.linalg.svd(A, compute_uv=False)
-        smin = svals[:, -1]
+        smin = np.linalg.svd(A, compute_uv=False)[:, -1]
         ts = self.scan_ts + k * self.tau
 
         def fmat(t):
@@ -240,21 +270,19 @@ class IndexComputer:
     def _boundary_signature(self, k: int) -> int:
         """Full signature of the crossing at t = k tau (interior role)."""
         if k not in self._boundary_cache:
-            A = self._mono_power(k) - np.eye(self.d)
-            sig = self._crossing_signature(k * self.tau, A.astype(complex),
-                                           f"boundary {k}")
-            self._boundary_cache[k] = 0 if sig is None else sig[0]
+            A = self.path.monodromy_power(k) - np.eye(self.d)
+            self._boundary_cache[k] = self._form_at(k * self.tau, A,
+                                                    f"boundary {k}")[0]
         return self._boundary_cache[k]
 
-    def _endpoint_negatives(self, m: int) -> int:
-        A = self._mono_power(m) - np.eye(self.d)
-        sig = self._crossing_signature(m * self.tau, A.astype(complex),
-                                       f"endpoint {m}")
-        return 0 if sig is None else sig[1]
+    def _form_at(self, t: float, A: np.ndarray, label: str):
+        """(signature, negatives) of the crossing form on ker(A) at t."""
+        return self._crossing_signature(t, A.astype(complex), label) or (0, 0)
 
     # -- public ---------------------------------------------------------------
     def index_pair(self, m: int):
-        """(index, nullity) of the m-th iterate, in the surface normalisation."""
+        """(index, nullity) of the m-th iterate, in the surface normalisation,
+        by scanning all m periods of the iterated path."""
         if m < 1:
             raise InvalidArgument("iterate must be >= 1")
         nu = self.nullity(m)
@@ -266,20 +294,30 @@ class IndexComputer:
             total += self._interior_signature(k)
             if 0 < k:
                 total += self._boundary_signature(k)
-        total -= self._endpoint_negatives(m)
+        A = self.path.monodromy_power(m) - np.eye(self.d)
+        total -= self._form_at(m * self.tau, A, f"endpoint {m}")[1]
         return total - self.n, nu
 
-    def omega_index(self, angle: float) -> int:
-        """Index at unit parameter exp(i*angle); angle must avoid the
-        monodromy's eigenvalue angles."""
+    def omega_pair(self, angle: float):
+        """(i_omega, dim_C ker(M - omega I)) at a unit omega = exp(i*angle)
+        other than 1: the interior crossings plus, when omega is an
+        eigenvalue, the endpoint term on ker(M - omega I)."""
         omega = complex(np.cos(angle), np.sin(angle))
-        crossings = self._scan_segment(0, omega)
-        A = self.path.end_monodromy.astype(complex) - omega * np.eye(self.d)
-        s = np.linalg.svd(A, compute_uv=False)
-        if s[-1] < self.sigma_gate * max(1.0, s[0]):
+        interior = sum(sig for _, sig, _ in self._scan_segment(0, omega))
+        A = self.path.end_monodromy - omega * np.eye(self.d)
+        nu = self._kernel_dim(A)
+        label = f"endpoint at {angle:.6g}"
+        negs = self._form_at(self.tau, A, label)[1] if nu else 0
+        return interior - negs, nu
+
+    def omega_index(self, angle: float) -> int:
+        """Index at unit parameter exp(i*angle); omega must not be an
+        eigenvalue of the monodromy (at ``nullity_tol``)."""
+        i_om, nu = self.omega_pair(angle)
+        if nu:
             raise NumericFailure("omega parameter hits the monodromy spectrum",
                                  angle=angle)
-        return sum(sig for _, sig, _ in crossings)
+        return i_om
 
 
 def maslov_index(path: SymplecticPath, m: int, **kw):
@@ -288,66 +326,41 @@ def maslov_index(path: SymplecticPath, m: int, **kw):
 
 
 def unit_spectrum_angles(path: SymplecticPath, *, circle_tol: float = 1e-7,
-                         one_cluster_tol: float = 1e-4,
-                         nullity_tol: float = 1e-6):
+                         one_cluster_tol: float = 1e-4):
     """Angles in [0, 2pi) of the monodromy's unit-circle eigenvalues.
 
     Eigenvalues within ``one_cluster_tol`` of 1 are collapsed to angle 0:
     a defective 1-eigenvalue (the generic orbit case) splits numerically by
     the square root of the integration defect, far beyond ``circle_tol``.
     """
-    M = path.end_monodromy
-    vals = np.linalg.eigvals(M)
     angles = []
-    for lam in vals:
+    for lam in np.linalg.eigvals(path.end_monodromy):
         if abs(lam - 1.0) < one_cluster_tol:
             angles.append(0.0)
         elif abs(abs(lam) - 1.0) < circle_tol:
             angles.append(float(np.angle(lam)) % _TWO_PI)
     uniq = []
     for a in sorted(angles):
-        if not uniq or min(abs(a - uniq[-1]), _TWO_PI - abs(a - uniq[-1])) > 1e-9:
+        if not uniq or _circle_dist(a, uniq[-1]) > 1e-9:
             uniq.append(a)
     return uniq
 
 
-@dataclass
-class MeanIndexResult:
-    value: float
-    fraction: Fraction | None
-    bar: float
-    slope_estimate: float
-    arc_table: list = field(default_factory=list)
+def mean_index(arc_table, records, n: int, *, q_max: int = 64,
+               rational_tol: float = 1e-9):
+    """Reconciled mean index from the arc average and the slope fit;
+    returns (value, exact Fraction or None, bar, slope estimate).
 
-
-def mean_index(comp: IndexComputer, records, *, q_max: int = 64,
-               rational_tol: float = 1e-9, bott_check: bool = False):
-    """Reconciled mean index from the arc average and the slope fit.
-
+    ``arc_table`` lists (lo, hi, i_omega) over the arcs of the circle;
     ``records`` is the list of IndexRecord for m = 1..M (M >= 2n + 2).
-    The certified window has half-width 2*(2n)/M around i(y^M)/M + n/M...;
-    concretely the true mean index satisfies |i(y^m) - m*ihat| <= 2n for all
-    m, which the reconciliation enforces.
+    The slope fit over the records must fall within the certified window
+    2*(2n)/M of the arc average, and the true mean index satisfies
+    |i(y^m) - m*ihat| <= 2n for all m, which the reconciliation enforces.
     """
-    path = comp.path
-    n = comp.n
     M = len(records)
     if M < 2 * n + 2:
         raise InvalidArgument(f"need at least {2*n+2} iterates, got {M}")
-    angles = unit_spectrum_angles(path)
-    if not angles or angles[0] > 1e-12:
-        angles = [0.0] + angles
-    bounds = angles + [angles[0] + _TWO_PI]
-    arc_table = []
-    acc = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo < 1e-9:
-            continue
-        mid = 0.5 * (lo + hi)
-        i_om = comp.omega_index(mid)
-        arc_table.append((lo, hi, i_om))
-        acc += (hi - lo) * i_om
-    ihat = acc / _TWO_PI
+    ihat = sum((hi - lo) * i_om for lo, hi, i_om in arc_table) / _TWO_PI
 
     ms = np.arange(1, M + 1)
     iy = np.array([r.index_i for r in records], dtype=float)
@@ -361,103 +374,88 @@ def mean_index(comp: IndexComputer, records, *, q_max: int = 64,
         raise ConsistencyFailure(
             f"iterated index leaves the 2n band around m*ihat "
             f"(max deviation {float(np.max(dev)):.3g})")
-    if bott_check:
-        for m in (2, 3):
-            roots = [_TWO_PI * k / m for k in range(m)]
-            if any(min(abs(r - a) for a in angles) < 1e-6 for r in roots[1:]):
-                continue
-            total = records[0].index_i + n   # omega = 1 term, path normalisation
-            total += sum(comp.omega_index(r) for r in roots[1:])
-            if total != records[m - 1].index_i + n:
-                raise ConsistencyFailure(
-                    f"iteration decomposition mismatch at m={m}: "
-                    f"{total} vs {records[m-1].index_i + n}")
 
     frac = Fraction(ihat).limit_denominator(q_max)
     fraction = frac if abs(float(frac) - ihat) <= rational_tol else None
-    return MeanIndexResult(value=float(ihat), fraction=fraction, bar=bar,
-                           slope_estimate=slope, arc_table=arc_table)
+    return float(ihat), fraction, bar, slope
+
+
+def rational_turn(angle: float, angle_tol: float = 1e-7,
+                  q_max: int = 64) -> Fraction | None:
+    """The turn p/q (q <= q_max) within ``angle_tol`` of the angle, or None;
+    raises when several admissible rationals match."""
+    ratio = angle / _TWO_PI
+    matches = set()
+    for q in range(1, q_max + 1):
+        p = round(ratio * q)
+        if abs(angle - _TWO_PI * p / q) <= angle_tol:
+            matches.add(Fraction(p % q, q))
+    if len(matches) > 1:
+        raise NumericFailure(
+            "rotation angle matches several admissible rationals",
+            angle=angle, candidates=sorted(str(f) for f in matches))
+    return next(iter(matches)) if matches else None
 
 
 def minimal_period_K(path: SymplecticPath, angle_tol: float = 1e-7,
                      q_max: int = 64) -> int:
     """Twice the lcm of denominators of rational rotation angles of the
     monodromy's unit-circle eigenvalues; 2 when none are rational."""
-    angles = unit_spectrum_angles(path)
-    dens = []
-    for a in angles:
-        ratio = a / _TWO_PI
-        matches = set()
-        for q in range(1, q_max + 1):
-            p = round(ratio * q)
-            err = abs(a - _TWO_PI * p / q)
-            if err <= angle_tol:
-                matches.add(Fraction(p % q, q))
-        if len(matches) > 1:
-            raise NumericFailure(
-                "rotation angle matches several admissible rationals",
-                angle=a, candidates=sorted(str(f) for f in matches))
-        if matches:
-            dens.append(next(iter(matches)).denominator)
-    if not dens:
-        return 2
-    return 2 * math.lcm(*dens)
+    turns = [rational_turn(a, angle_tol, q_max)
+             for a in unit_spectrum_angles(path)]
+    return 2 * math.lcm(*(t.denominator for t in turns if t is not None))
 
 
 def compute_orbit_index_data(orbit_id: str, path: SymplecticPath, *,
                              m_max: int = 20, q_max: int = 64,
                              angle_tol: float = 1e-7,
-                             bott_check: bool = False,
                              computer_kw: dict | None = None) -> OrbitIndexData:
-    """Full index table for one orbit: records, mean index, minimal period."""
+    """Full index table for one orbit: records, mean index, minimal period.
+
+    The crossing scanner runs over the first period only: at omega = 1, at
+    each arc's midpoint and at each rational eigen-angle's root of unity.
+    """
     comp = IndexComputer(path, **(computer_kw or {}))
     n = comp.n
-    m_max = max(m_max, 2 * n + 2)
-    records = []
-    for m in range(1, m_max + 1):
-        i_m, nu_m = comp.index_pair(m)
-        records.append(IndexRecord(orbit_id, m, i_m, nu_m))
-    mi = mean_index(comp, records, q_max=q_max, bott_check=bott_check)
+    i_1, nu_1 = comp.index_pair(1)
+    angles = unit_spectrum_angles(path)
+    if not angles or angles[0] > 1e-12:
+        angles = [0.0] + angles
+    bounds = angles + [angles[0] + _TWO_PI]
+    arc_table = [(lo, hi, comp.omega_index(0.5 * (lo + hi)))
+                 for lo, hi in zip(bounds[:-1], bounds[1:])
+                 if hi - lo >= 1e-9]
+    on_point = {}
+    for a in angles:
+        turn = rational_turn(a, angle_tol, q_max)
+        if turn == 0:
+            on_point[a] = (i_1 + n, nu_1)
+        elif turn is not None:
+            on_point[a] = comp.omega_pair(_TWO_PI * float(turn))
+    it = IterationData(dim_n=n, eigen_angles=angles, arc_table=arc_table,
+                       on_point=on_point, angle_tol=angle_tol)
+    records = _records(orbit_id, it, 1, max(m_max, 2 * n + 2))
+    ihat, frac, bar, slope = mean_index(arc_table, records, n, q_max=q_max)
     K_y = minimal_period_K(path, angle_tol=angle_tol, q_max=q_max)
-    data = OrbitIndexData(orbit_id=orbit_id, dim_n=n, records=records,
-                          mean_index=mi.value, mean_index_fraction=mi.fraction,
-                          mean_index_bar=mi.bar, slope_estimate=mi.slope_estimate,
-                          K_of_y=K_y)
-    data._computer = comp
-    return data
+    return OrbitIndexData(orbit_id=orbit_id, dim_n=n, records=records,
+                          mean_index=ihat, mean_index_fraction=frac,
+                          mean_index_bar=bar, slope_estimate=slope,
+                          K_of_y=K_y, iteration=it)
+
+
+def _records(orbit_id: str, it: IterationData, m_from: int, m_upto: int):
+    return [IndexRecord(orbit_id, m, *it.index_pair(m))
+            for m in range(m_from, m_upto + 1)]
 
 
 def extend_records(data: OrbitIndexData, m_upto: int):
-    """Extend the per-iterate table in place (used by the series assembly)."""
-    comp = getattr(data, "_computer", None)
-    if comp is None:
-        raise InvalidArgument("orbit index data lacks a live scanner")
-    for m in range(len(data.records) + 1, m_upto + 1):
-        i_m, nu_m = comp.index_pair(m)
-        data.records.append(IndexRecord(data.orbit_id, m, i_m, nu_m))
-
-
-@dataclass
-class KShiftCheck:
-    """d(K) bookkeeping across a K grid, against the path index."""
-
-    K_values: list
-    d_of_K: list
-    morse_indices: list
-    nullities: list
-    shifted: list                 # morse index minus d(K)
-    path_index: int
-    path_nullity: int
-    consistent: bool
+    """Extend the per-iterate table in place up to iterate ``m_upto``."""
+    if data.iteration is None and m_upto > len(data.records):
+        raise InvalidArgument("orbit index data lacks its iteration data")
+    data.records += _records(data.orbit_id, data.iteration,
+                             len(data.records) + 1, m_upto)
 
 
 def dimension_shift(K: float, period_T: float, n: int) -> int:
     """d(K) = 2n (floor(K T / 2 pi) + 1)."""
     return 2 * n * (int(np.floor(K * period_T / _TWO_PI)) + 1)
-
-
-def k_shift_audit(*args, **kw) -> KShiftCheck:
-    """Morse data of the reduced loop functional across a K grid; see the
-    reduction module for the implementation."""
-    from .galerkin import k_shift_audit as _impl
-    return _impl(*args, **kw)

@@ -1,12 +1,14 @@
 """Shared fixtures: solved orbit/index bundles reused across test modules."""
 
+import warnings
+
 import pytest
 
 from charlab.flow import (GaugeField, integrate_flow, integrate_linearized,
                           index_form)
-from charlab.geometry import make_ellipsoid
+from charlab.geometry import make_ellipsoid, make_perturbed_ellipsoid
 from charlab.index import compute_orbit_index_data
-from charlab.orbits import ellipsoid_catalog
+from charlab.orbits import ellipsoid_catalog, find_orbits
 
 RADII_2D = [1.0, 2.0**0.25]           # squared ratio sqrt(2), irrational
 RADII_3D = [1.0, 2.0**0.25, 3.0**0.25]
@@ -20,9 +22,14 @@ class Bundle:
         self.index_data = index_data
 
 
-def solve_bundle(radii, m_max=14, alpha=1.5, tol=1e-12):
-    surface = make_ellipsoid(radii)
-    orbits = ellipsoid_catalog(surface)
+def solve_bundle(radii, m_max=14, alpha=1.5, tol=1e-12, surface=None):
+    """Orbits, index paths and index data; the ellipsoid catalog unless a
+    (perturbed) surface is given, whose orbits are searched for."""
+    if surface is None:
+        surface = make_ellipsoid(radii)
+        orbits = ellipsoid_catalog(surface)
+    else:
+        orbits = find_orbits(surface)
     gf = GaugeField(surface)
     S = index_form(surface, alpha)
     paths = {}
@@ -48,3 +55,17 @@ def ell2_bundle():
 @pytest.fixture(scope="session")
 def ell3_bundle():
     return solve_bundle(RADII_3D)
+
+
+@pytest.fixture(scope="session")
+def perturbed_bundle():
+    surface = make_perturbed_ellipsoid(RADII_2D, [0.3, -0.2, 0.15, 0.1], 1e-4)
+    return solve_bundle(None, surface=surface)
+
+
+@pytest.fixture(scope="session")
+def tied_root_bundle():
+    # squared radii 1 : 2 are rationally dependent; the catalog says so
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return solve_bundle([1.0, 2.0**0.5])

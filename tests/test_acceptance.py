@@ -20,7 +20,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from charlab.errors import TableRuleViolation
 from charlab.flow import (GaugeField, integrate_flow, integrate_linearized,
@@ -29,8 +28,7 @@ from charlab.galerkin import (build_galerkin, critical_value_formula,
                               estimate_dual_modulus, k_shift_audit,
                               orbit_from_critical, seed_from_orbit,
                               suggest_K_grid)
-from charlab.geometry import (make_ellipsoid, make_perturbed_ellipsoid,
-                              spec_for_period)
+from charlab.geometry import make_ellipsoid, spec_for_period
 from charlab.index import compute_orbit_index_data, extend_records
 from charlab.orbits import (ellipsoid_catalog, shoot_for_orbit,
                             trajectory_distance)
@@ -70,29 +68,6 @@ def full_identity(radii_or_surface, m_max=14):
             chis, d.K_of_y))
         datas[orb.orbit_id] = (orb, d, table)
     return identity_check(contribs), datas
-
-
-@pytest.fixture(scope="module")
-def perturbed_bundle():
-    surface = make_perturbed_ellipsoid(RADII_2D, [0.3, -0.2, 0.15, 0.1], 1e-4)
-    from charlab.orbits import find_orbits
-    orbits = find_orbits(surface)
-    gf = GaugeField(surface)
-    S = index_form(surface, 1.5)
-    paths, data = {}, {}
-    for orb in orbits:
-        traj = integrate_flow(gf, orb.trajectory.x0, orb.prime_period,
-                              tol=1e-12)
-        paths[orb.orbit_id] = integrate_linearized(traj, S, tol=1e-12)
-        data[orb.orbit_id] = compute_orbit_index_data(
-            orb.orbit_id, paths[orb.orbit_id], m_max=14)
-
-    class B:
-        pass
-
-    b = B()
-    b.surface, b.orbits, b.paths, b.index_data = surface, orbits, paths, data
-    return b
 
 
 def test_criterion_1_circle_identity():

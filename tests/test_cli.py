@@ -104,9 +104,44 @@ def test_stage_isolation(tmp_path):
     cfg_path = write_config(tmp_path)
     assert main(["run", str(cfg_path)]) == 0
     out = tmp_path / "out"
-    before = (out / "orbits.json").read_bytes()
+    upstream = ("surface_check.json", "orbits.json", "index_report.json")
+
+    def state():
+        return {f: ((out / f).read_bytes(), (out / f).stat().st_mtime_ns)
+                for f in upstream}
+
+    before = state()
     assert main(["run", str(cfg_path), "--stages", "resonance"]) == 0
-    assert (out / "orbits.json").read_bytes() == before
+    assert state() == before
+
+
+def test_missing_k_tables_file_rejected_at_load(tmp_path, capsys):
+    missing = tmp_path / "no_such_tables.json"
+    cfg_path = write_config(tmp_path, k_tables=str(missing))
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "k_tables" in err and str(missing) in err
+    assert not (tmp_path / "out" / "orbits.json").exists()
+
+
+def test_surface_without_radii_rejected_at_load(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, surface={"kind": "ellipsoid"})
+    assert main(["run", str(cfg_path)]) == 1
+    assert "surface.radii" in capsys.readouterr().err
+
+
+def test_numeric_failure_prints_its_diagnostics(tmp_path, capsys,
+                                                monkeypatch):
+    from charlab import cli
+    from charlab.errors import NumericFailure
+
+    def fail(cfg):
+        raise NumericFailure("ambiguous near-crossing", window=(1.0, 2.0))
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["run", str(write_config(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert "ambiguous near-crossing" in err and "window=(1.0, 2.0)" in err
 
 
 def test_cli_overrides(tmp_path):

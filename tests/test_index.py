@@ -9,7 +9,7 @@ from charlab.errors import InvariantViolation, NumericFailure
 from charlab.flow import SymplecticPath
 from charlab.index import (IndexComputer, compute_orbit_index_data,
                            dimension_shift, extend_records, maslov_index,
-                           mean_index, minimal_period_K, unit_spectrum_angles)
+                           minimal_period_K, unit_spectrum_angles)
 from charlab.sympl import standard_J
 
 
@@ -144,12 +144,6 @@ class TestEllipsoidIndices:
         for oid, d in ell2_bundle.index_data.items():
             assert abs(d.mean_index - expected[oid]) <= 1e-8
             assert d.mean_index_fraction is None   # irrational, not rounded
-
-    def test_bott_consistency_check_runs(self, ell2_bundle):
-        comp = IndexComputer(ell2_bundle.paths["y1"])
-        records = ell2_bundle.index_data["y1"].records
-        res = mean_index(comp, records, bott_check=True)
-        assert abs(res.value - (2.0 + np.sqrt(2.0))) <= 1e-8
 
     def test_iterate_additivity(self, ell2_bundle):
         # index of the 2m-fold iterate from the m-path equals the direct one
@@ -305,6 +299,50 @@ class TestDimensionShift:
     def test_jump_by_2n(self):
         n = 2
         assert dimension_shift(7.0, 1.0, n) - dimension_shift(1.0, 1.0, n) == 2 * n
+
+
+def test_iteration_formula_matches_segment_scanner(
+        circle_bundle, ell2_bundle, ell3_bundle, perturbed_bundle,
+        tied_root_bundle):
+    # radii [1, sqrt 2]: the root -1 lands on y1's eigenvalue angle pi, so
+    # every even iterate needs the index at that eigenvalue itself
+    assert any(len(d.iteration.on_point) > 1
+               for d in tied_root_bundle.index_data.values())
+    for bundle in (circle_bundle, ell2_bundle, ell3_bundle, perturbed_bundle,
+                   tied_root_bundle):
+        for oid, d in bundle.index_data.items():
+            extend_records(d, 40)
+            scanner = IndexComputer(bundle.paths[oid])
+            for m in range(1, 41):
+                assert (d.index(m), d.nullity(m)) == scanner.index_pair(m), \
+                    (oid, m)
+
+
+def test_iteration_formula_endpoint_term_at_eigenvalue():
+    # the circle model in (q1, p1) times a backward half-turn in (q2, p2):
+    # M = shear (+) -I, and the form on ker(M + I) is negative definite, so
+    # the index at the eigenvalue -1 carries a nonzero endpoint term
+    circle = circle_model_path()
+    cols = ([0, 2], [1, 3])
+
+    def blocks(a, b):
+        out = np.zeros((4, 4))
+        out[np.ix_(cols[0], cols[0])] = a
+        out[np.ix_(cols[1], cols[1])] = b
+        return out
+
+    def R(t):
+        c, s = np.cos(t / 2), np.sin(t / 2)
+        return blocks(circle.base_at(t), np.array([[c, s], [-s, c]]))
+
+    def S(t):
+        return blocks(circle.S_at(t), -0.5 * np.eye(2))
+
+    path = synthetic_path(R, S, 2 * np.pi, 2)
+    d = compute_orbit_index_data("z", path, m_max=8)
+    scanner = IndexComputer(path)
+    for m in range(1, 9):
+        assert (d.index(m), d.nullity(m)) == scanner.index_pair(m), m
 
 
 def test_extend_records(circle_bundle):
