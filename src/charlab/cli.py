@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import galerkin as gk
 from .errors import CharlabError, InvalidArgument, NumericFailure
 from .flow import (GaugeField, integrate_flow, integrate_linearized,
                    index_form, path_max_defect)
-from .geometry import surface_from_spec, check_surface_invariants, spec_for_period
+from .geometry import surface_from_spec, check_surface_invariants
 from .index import IndexComputer, compute_orbit_index_data, extend_records
 from .orbits import (find_orbits, gate_orbit, load_registry, write_registry,
                      trajectory_distance)
@@ -44,7 +44,34 @@ _DEFAULT_TOLERANCES = {
     "identity": 1e-6,
 }
 
+_DEFAULT_INDEX = {"m_max": 20, "alpha": 1.5}
+_DEFAULT_MORSE = {"enable": True, "N_list": [50, 100, 200]}
+_BLOCK_KEYS = {"tolerances": _DEFAULT_TOLERANCES, "index": _DEFAULT_INDEX,
+               "galerkin": {"enable", *(f.name for f in fields(gk.ReductionOptions))},
+               "morse": _DEFAULT_MORSE}
+_CONFIG_KEYS = {"surface", "out_dir", "seed", "stages", "k_tables", "seeds",
+                *_BLOCK_KEYS}
+
 ALL_STAGES = ("geometry", "orbits", "index", "resonance")
+
+
+def _checked_keys(block, known, name: str = "") -> dict:
+    """``block`` itself; a key outside ``known`` is rejected by its path."""
+    if not isinstance(block, dict):
+        raise InvalidArgument(f"config {name or 'file'} must be a JSON object")
+    for key in block:
+        if key not in known:
+            path = f"{name}.{key}" if name else key
+            raise InvalidArgument(f"unknown config key '{path}'; "
+                                  f"valid: {', '.join(sorted(known))}")
+    return block
+
+
+def _reduction_options(block: dict) -> gk.ReductionOptions:
+    """The ``galerkin`` block without ``enable``; a null keeps the default."""
+    return gk.ReductionOptions(**{
+        k: int(v) if k == "mode_cut" else float(v)
+        for k, v in block.items() if k != "enable" and v is not None})
 
 
 @dataclass
@@ -54,12 +81,10 @@ class RunConfig:
     seed: int = 0
     stages: tuple = ALL_STAGES
     tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
-    index_opts: dict = field(default_factory=lambda: {"m_max": 20, "alpha": 1.5})
-    galerkin_opts: dict = field(default_factory=lambda: {
-        "enable": False, "K": None, "T": 1.0, "ratio": 0.8,
-        "mode_cut": None, "theta": 0.08, "alpha": 1.92})
-    morse_opts: dict = field(default_factory=lambda: {
-        "enable": True, "N_list": [50, 100, 200]})
+    index_opts: dict = field(default_factory=lambda: dict(_DEFAULT_INDEX))
+    galerkin: gk.ReductionOptions = field(default_factory=gk.ReductionOptions)
+    galerkin_enable: bool = False
+    morse_opts: dict = field(default_factory=lambda: dict(_DEFAULT_MORSE))
     k_tables_path: str | None = None
     orbit_seeds: list = field(default_factory=list)
 
@@ -74,6 +99,9 @@ class RunConfig:
             raise InvalidArgument(
                 f"malformed config {path}: line {e.lineno} col {e.colno}: {e.msg}")
         overrides = overrides or {}
+        _checked_keys(raw, _CONFIG_KEYS)
+        block = {name: _checked_keys(raw.get(name, {}), known, name)
+                 for name, known in _BLOCK_KEYS.items()}
         surface = raw.get("surface")
         if surface is None:
             raise InvalidArgument("config missing required field 'surface'")
@@ -97,7 +125,7 @@ class RunConfig:
             raise InvalidArgument(
                 f"config field k_tables: file {k_tables} does not exist")
         tol = dict(_DEFAULT_TOLERANCES)
-        tol.update(raw.get("tolerances", {}))
+        tol.update(block["tolerances"])
         if overrides.get("tol") is not None:
             tol["integrator"] = float(overrides["tol"])
         cfg = cls(
@@ -109,21 +137,19 @@ class RunConfig:
             tolerances=tol,
             k_tables_path=k_tables,
             orbit_seeds=raw.get("seeds", []),
+            galerkin=_reduction_options(block["galerkin"]),
+            galerkin_enable=bool(block["galerkin"].get("enable", False)),
         )
-        cfg.index_opts.update(raw.get("index", {}))
-        cfg.galerkin_opts.update(raw.get("galerkin", {}))
-        cfg.morse_opts.update(raw.get("morse", {}))
+        cfg.index_opts.update(block["index"])
+        cfg.morse_opts.update(block["morse"])
         for st in cfg.stages:
             if st not in ALL_STAGES:
                 raise InvalidArgument(f"unknown stage {st!r}; valid: {ALL_STAGES}")
-        K = cfg.galerkin_opts.get("K")
-        T = float(cfg.galerkin_opts.get("T", 1.0))
-        if K is not None:
-            frac = float(K) * T / _TWO_PI
-            if abs(float(K) * T - _TWO_PI * round(frac)) < 1e-6:
-                raise InvalidArgument(
-                    f"config field galerkin.K: K*T = {float(K)*T} is within "
-                    f"1e-6 of a multiple of 2*pi")
+        K, T = cfg.galerkin.K, cfg.galerkin.T
+        if K is not None and abs(K * T - _TWO_PI * round(K * T / _TWO_PI)) < 1e-6:
+            raise InvalidArgument(
+                f"config field galerkin.K: K*T = {K * T} is within "
+                f"1e-6 of a multiple of 2*pi")
         return cfg
 
 
@@ -173,26 +199,17 @@ def stage_orbits(cfg, surface) -> list:
                                          closure_tol=tol["closure"],
                                          int_tol=tol["integrator"])
     extra = {"gates": gates}
-    if cfg.galerkin_opts.get("enable"):
+    if cfg.galerkin_enable:
         extra["galerkin"] = _galerkin_cross_validate(cfg, surface, orbits)
     write_registry(orbits, cfg.out_dir / "orbits.json", extra=extra)
     return orbits
 
 
 def _galerkin_cross_validate(cfg, surface, orbits) -> dict:
-    g = cfg.galerkin_opts
     out = {}
     for orb in orbits:
-        spec = spec_for_period(surface, orb.prime_period,
-                               period_T=float(g["T"]), ratio=float(g["ratio"]),
-                               theta=float(g["theta"]), alpha=float(g["alpha"]),
-                               K=g["K"], rng_seed=cfg.seed)
-        rng = np.random.default_rng(cfg.seed)
-        omega = gk.estimate_dual_modulus(spec, rng)
-        need = int(np.ceil((2.0 / omega) * spec.period_T / _TWO_PI)) + 2
-        mc = g["mode_cut"] or need + 8
-        system = gk.build_galerkin(spec, mc, omega=omega)
-        vec = system.newton_critical(gk.seed_from_orbit(system, orb, m=1))
+        spec, system, vec = gk.reduced_critical_point(
+            surface, orb, cfg.galerkin, seed=cfg.seed)
         gorb, info = gk.orbit_from_critical(system, vec, orb.orbit_id + "-g")
         formula = gk.critical_value_formula(spec, info["rho"])
         orb.rho = info["rho"]
@@ -419,33 +436,17 @@ def audit(cfg: RunConfig) -> int:
     ok &= bott_ok
     _dump({"orbits": bott, "pass": bott_ok}, cfg.out_dir / "audit_bott.json")
 
-    g = cfg.galerkin_opts
+    opts = cfg.galerkin
     kshift = {}
     kshift_ok = True
     audit_orbits = orbits if surface.dim_n <= 2 else orbits[:1]
     for orb in audit_orbits:
         d = index_data[orb.orbit_id]
-        grid = gk.suggest_K_grid(surface, orb.prime_period,
-                                 period_T=float(g["T"]), ratio=float(g["ratio"]),
-                                 theta=float(g["theta"]), alpha=float(g["alpha"]),
-                                 rng_seed=cfg.seed)
-        chk = gk.k_shift_audit(surface, orb, grid, iterate_m=1,
-                               path_index=d.index(1), path_nullity=d.nullity(1),
-                               period_T=float(g["T"]), ratio=float(g["ratio"]),
-                               theta=float(g["theta"]), alpha=float(g["alpha"]),
-                               rng_seed=cfg.seed)
-        values = {}
-        for K in grid[:3]:
-            spec = spec_for_period(surface, orb.prime_period,
-                                   period_T=float(g["T"]), ratio=float(g["ratio"]),
-                                   theta=float(g["theta"]), alpha=float(g["alpha"]),
-                                   K=float(K), rng_seed=cfg.seed)
-            rng = np.random.default_rng(cfg.seed)
-            omega = gk.estimate_dual_modulus(spec, rng)
-            need = int(np.ceil((2.0 / omega) * spec.period_T / _TWO_PI)) + 2
-            system = gk.build_galerkin(spec, need + 8, omega=omega)
-            vec = system.newton_critical(gk.seed_from_orbit(system, orb, m=1))
-            values[repr(float(K))] = system.value(vec)
+        grid = gk.suggest_K_grid(surface, orb.prime_period, opts, seed=cfg.seed)
+        chk = gk.k_shift_audit(surface, orb, grid, opts, seed=cfg.seed,
+                               path_index=d.index(1), path_nullity=d.nullity(1))
+        values = {repr(K): v for K, v in zip(chk.K_values[:3],
+                                             chk.critical_values[:3])}
         vlist = list(values.values())
         value_const = max(vlist) - min(vlist) <= 1e-8
         value_neg = all(v < 0 for v in vlist)
@@ -465,10 +466,9 @@ def audit(cfg: RunConfig) -> int:
           cfg.out_dir / "audit_k_shift.json")
 
     rng = np.random.default_rng(cfg.seed)
-    spec = spec_for_period(surface, orbits[0].prime_period,
-                           period_T=float(g["T"]), ratio=float(g["ratio"]),
-                           theta=float(g["theta"]), alpha=float(g["alpha"]),
-                           rng_seed=cfg.seed)
+    # at the auto-selected K, whatever galerkin.K says
+    spec = replace(opts, K=None).spec(surface, orbits[0].prime_period,
+                                      seed=cfg.seed)
     U = rng.normal(size=(10000, surface.dim)) * 3.0
     V = rng.normal(size=(10000, surface.dim)) * 3.0
     lhs = np.sum((spec.hk_grad(U) - spec.hk_grad(V)) * (U - V), axis=1)

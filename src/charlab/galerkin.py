@@ -25,7 +25,7 @@ points of psi by the reduction's critical-point correspondence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,16 +38,16 @@ from .orbits import ClosedCharacteristic
 _TWO_PI = 2.0 * np.pi
 
 
-def estimate_dual_modulus(spec, rng, n_pairs: int = 400, scale: float = None) -> float:
+def estimate_dual_modulus(spec, rng) -> float:
     """Sampled monotonicity modulus of grad H* (halved for safety).
 
     The geometric bound 1/(K + sup ||H''||) is intersected with a sampled
-    minimum of the monotonicity quotient over random pairs.
+    minimum of the monotonicity quotient over 400 random pairs at scale
+    10 (1 + K).
     """
     geom = 1.0 / (spec.K + max(spec.hess_sup, 0.0))
-    if scale is None:
-        scale = 10.0 * (1.0 + spec.K)
-    U = rng.normal(size=(n_pairs, spec.surface.dim)) * scale
+    scale = 10.0 * (1.0 + spec.K)
+    U = rng.normal(size=(400, spec.surface.dim)) * scale
     V = U + rng.normal(size=U.shape) * (0.1 * scale)
     _, XU = spec.fenchel_batch(U)
     _, XV = spec.fenchel_batch(V)
@@ -200,16 +200,6 @@ class GalerkinSystem:
         raise NumericFailure("inner convex solve did not reach tolerance",
                              residual=resid)
 
-    def psi_value(self, vec_g: np.ndarray, **kw) -> float:
-        h = self.inner_solve(vec_g, **kw)
-        return self.value(vec_g + h)
-
-    def psi_gradient(self, vec_g: np.ndarray, **kw) -> np.ndarray:
-        h = self.inner_solve(vec_g, **kw)
-        g = self.gradient(vec_g + h)
-        g[~self.vec_mask_G()] = 0.0
-        return g
-
     # ---- critical points -----------------------------------------------------
     def newton_critical(self, vec0: np.ndarray, tol: float = 1e-10,
                         max_iter: int = 60) -> np.ndarray:
@@ -270,17 +260,14 @@ class GalerkinSystem:
         return morse, nullity, ev
 
 
-def build_galerkin(spec, mode_cut: int, *, n_grid: int | None = None,
-                   omega: float | None = None, rng=None) -> GalerkinSystem:
+def build_galerkin(spec, mode_cut: int, *, omega: float) -> GalerkinSystem:
     """Assemble the truncated loop space for a Hamiltonian spec.
 
+    ``omega`` is the monotonicity modulus of grad H* (``estimate_dual_modulus``).
     Raises when ``mode_cut`` cannot contain the threshold set of G.
     """
     n = spec.surface.dim_n if hasattr(spec, "surface") else spec.dim_n
     T = spec.period_T
-    if omega is None:
-        rng = rng or np.random.default_rng(0)
-        omega = estimate_dual_modulus(spec, rng)
     lo = -spec.K * T / _TWO_PI
     hi = (2.0 / omega - spec.K) * T / _TWO_PI
     k_needed = max(int(np.ceil(abs(lo))), int(np.ceil(abs(hi))))
@@ -288,16 +275,53 @@ def build_galerkin(spec, mode_cut: int, *, n_grid: int | None = None,
         raise InvalidArgument(
             f"mode_cut {mode_cut} cannot contain the reduction threshold set "
             f"(need {k_needed})")
-    if n_grid is None:
-        n_grid = 1
-        while n_grid < 4 * mode_cut or n_grid < 128:
-            n_grid *= 2
+    n_grid = 1
+    while n_grid < 4 * mode_cut or n_grid < 128:
+        n_grid *= 2
     freqs = np.concatenate([np.arange(0, mode_cut + 1),
                             np.arange(-mode_cut, 0)])
     lam = _TWO_PI * freqs / T + spec.K
     in_G = (lam > 0) & (lam < 2.0 / omega)
     return GalerkinSystem(spec=spec, mode_cut=mode_cut, omega=float(omega),
                           n_grid=n_grid, freqs=freqs, in_G=in_G, n=n)
+
+
+@dataclass(frozen=True)
+class ReductionOptions:
+    """Set-up of the reduction: the config's ``galerkin`` block without
+    ``enable``.  ``K = None`` picks the convexification constant from a
+    sampled curvature bound; ``mode_cut = None`` picks the smallest cut that
+    holds the threshold set of G, plus 8 modes."""
+
+    T: float = 1.0
+    ratio: float = 0.8
+    theta: float = 0.08
+    alpha: float = 1.92
+    K: float | None = None
+    mode_cut: int | None = None
+
+    def spec(self, surface: Hypersurface, tau: float, *,
+             seed: int) -> HamiltonianSpec:
+        """The Hamiltonian placing an orbit of period ``tau`` in the band."""
+        return spec_for_period(surface, tau, period_T=self.T, ratio=self.ratio,
+                               theta=self.theta, alpha=self.alpha, K=self.K,
+                               rng_seed=seed)
+
+
+def reduced_critical_point(surface: Hypersurface, orbit: ClosedCharacteristic,
+                           opts: ReductionOptions, *, seed: int, m: int = 1):
+    """The critical loop of the reduced functional at the m-th iterate.
+
+    Builds the Hamiltonian for period m * tau, the reduction at the sampled
+    dual modulus, and runs the bordered Newton from the orbit's own loop.
+    Returns (spec, system, vec).
+    """
+    spec = opts.spec(surface, m * orbit.prime_period, seed=seed)
+    omega = estimate_dual_modulus(spec, np.random.default_rng(seed))
+    need = int(np.ceil((2.0 / omega) * opts.T / _TWO_PI)) + 2
+    system = build_galerkin(spec, opts.mode_cut or need + 8, omega=omega)
+    vec = system.newton_critical(seed_from_orbit(system, orbit, m=m))
+    return spec, system, vec
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +431,18 @@ def galerkin_critical_points(sys: GalerkinSystem, seeds, *, tol: float = 1e-10,
 # K-shift audit
 
 
-def suggest_K_grid(surface: Hypersurface, tau_m: float, *, period_T: float = 1.0,
-                   n_points: int = 5, ratio: float = 0.8, theta: float = 0.08,
-                   alpha: float = 1.92, rng_seed: int = 0) -> list:
+def suggest_K_grid(surface: Hypersurface, tau_m: float, opts: ReductionOptions,
+                   *, seed: int, n_points: int = 5) -> list:
     """A K grid starting at the auto-convexity floor and spanning at least one
     2 pi / T multiple (so the dimension shift d(K) jumps inside the grid)."""
-    spec = spec_for_period(surface, tau_m, period_T=period_T, ratio=ratio,
-                           theta=theta, alpha=alpha, rng_seed=rng_seed)
-    step = _TWO_PI / period_T
+    spec = replace(opts, K=None).spec(surface, tau_m, seed=seed)
+    step = _TWO_PI / opts.T
     offsets = np.linspace(0.0, 1.25 * step, n_points)
     grid = []
     for off in offsets:
         K = spec.K + off
-        frac = K * period_T / _TWO_PI
-        if abs(K * period_T - _TWO_PI * round(frac)) < 1e-2:
+        frac = K * opts.T / _TWO_PI
+        if abs(K * opts.T - _TWO_PI * round(frac)) < 1e-2:
             K += 0.05 * step
         grid.append(float(K))
     return grid
@@ -435,46 +457,41 @@ class KShiftCheck:
     morse_indices: list
     nullities: list
     shifted: list                 # morse index minus d(K)
+    critical_values: list         # dual action at the critical loop, per K
     path_index: int
     path_nullity: int
     consistent: bool
 
 
 def k_shift_audit(surface: Hypersurface, orbit: ClosedCharacteristic,
-                  K_values, *, iterate_m: int = 1, path_index: int = 0,
-                  path_nullity: int = 1, period_T: float = 1.0,
-                  ratio: float = 0.8, mode_cut: int | None = None,
-                  theta: float = 0.08, alpha: float = 1.92,
-                  rng_seed: int = 0) -> KShiftCheck:
+                  K_values, opts: ReductionOptions, *, seed: int,
+                  iterate_m: int = 1, path_index: int = 0,
+                  path_nullity: int = 1) -> KShiftCheck:
     """Morse data of the reduced functional across a K grid.
 
     Verifies that the Morse index minus d(K) = 2n(floor(KT/2pi)+1) is
     constant across the grid and equals the path index i(y^m), and that the
-    nullity is constant and matches the path nullity.
+    nullity is constant and matches the path nullity.  Each K gets its own
+    mode cut (``opts.mode_cut`` is ignored): a cut that fits one K can be
+    too small at a larger one.
     """
-    n = surface.dim_n
-    taum = iterate_m * orbit.prime_period
-    d_list, morse_list, null_list, shifted = [], [], [], []
+    K_values = [float(K) for K in K_values]
+    d_list, morse_list, null_list, shifted, values = [], [], [], [], []
     for K in K_values:
-        spec = spec_for_period(surface, taum, period_T=period_T, ratio=ratio,
-                               theta=theta, alpha=alpha, K=float(K),
-                               rng_seed=rng_seed)
-        rng = np.random.default_rng(rng_seed)
-        omega = estimate_dual_modulus(spec, rng)
-        need = int(np.ceil((2.0 / omega) * period_T / _TWO_PI)) + 2
-        mc = mode_cut if mode_cut is not None else need + 8
-        sys = build_galerkin(spec, mc, omega=omega)
-        seed = seed_from_orbit(sys, orbit, m=iterate_m)
-        vec = sys.newton_critical(seed)
-        morse, nullity, _ = sys.morse_data(vec)
-        d = dimension_shift(float(K), period_T, n)
+        _, system, vec = reduced_critical_point(
+            surface, orbit, replace(opts, K=K, mode_cut=None), seed=seed,
+            m=iterate_m)
+        morse, nullity, _ = system.morse_data(vec)
+        d = dimension_shift(K, opts.T, surface.dim_n)
         d_list.append(d)
         morse_list.append(morse)
         null_list.append(nullity)
         shifted.append(morse - d)
+        values.append(system.value(vec))
     consistent = (all(s == path_index for s in shifted)
                   and all(nu == path_nullity for nu in null_list))
-    return KShiftCheck(K_values=list(map(float, K_values)), d_of_K=d_list,
+    return KShiftCheck(K_values=K_values, d_of_K=d_list,
                        morse_indices=morse_list, nullities=null_list,
-                       shifted=shifted, path_index=path_index,
-                       path_nullity=path_nullity, consistent=consistent)
+                       shifted=shifted, critical_values=values,
+                       path_index=path_index, path_nullity=path_nullity,
+                       consistent=consistent)

@@ -615,10 +615,6 @@ class HamiltonianSpec:
         vals = np.sum(X * Y, axis=1) - self.hk_value(X)
         return vals, X
 
-    def dual_hess_batch(self, X):
-        """Hessian of the dual at y = grad H_K(x), i.e. (H_K''(x))^{-1}."""
-        return np.linalg.inv(self.hk_hess(np.atleast_2d(X)))
-
     # -- construction-time gates ---------------------------------------------
     def _sample_cloud(self, rng, n_pts=400):
         d = self.surface.dim
@@ -645,12 +641,6 @@ class HamiltonianSpec:
             gn = np.linalg.norm(self.grad(shell), axis=1)
             if np.min(gn) < 1e-10:
                 raise ConstructionFailure("gradient vanishes in the blend shell")
-        # outer curvature bound (soft: recorded, warning-level)
-        outer = X[self.surface.gauge(X) > self.r_A]
-        if outer.shape[0]:
-            self.outer_hess_sup = float(np.max(np.linalg.eigvalsh(self.hess(outer))))
-        else:
-            self.outer_hess_sup = 0.0
 
 
 def fenchel_dual(spec: HamiltonianSpec, y):

@@ -408,14 +408,13 @@ def minimal_period_K(path: SymplecticPath, angle_tol: float = 1e-7,
 
 def compute_orbit_index_data(orbit_id: str, path: SymplecticPath, *,
                              m_max: int = 20, q_max: int = 64,
-                             angle_tol: float = 1e-7,
-                             computer_kw: dict | None = None) -> OrbitIndexData:
+                             angle_tol: float = 1e-7) -> OrbitIndexData:
     """Full index table for one orbit: records, mean index, minimal period.
 
     The crossing scanner runs over the first period only: at omega = 1, at
     each arc's midpoint and at each rational eigen-angle's root of unity.
     """
-    comp = IndexComputer(path, **(computer_kw or {}))
+    comp = IndexComputer(path)
     n = comp.n
     i_1, nu_1 = comp.index_pair(1)
     angles = unit_spectrum_angles(path)

@@ -81,15 +81,3 @@ def pair_multipliers(eigvals: np.ndarray, tol: float = 1e-6):
         })
     return classes
 
-
-def kernel_dimension(A: np.ndarray, tol: float) -> int:
-    """dim ker(A) by singular values below ``tol`` (absolute)."""
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(s < tol))
-
-
-def kernel_basis(A: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of A."""
-    _, s, Vh = np.linalg.svd(A)
-    mask = s < tol
-    return Vh[mask].conj().T

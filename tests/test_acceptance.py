@@ -24,11 +24,10 @@ import numpy as np
 from charlab.errors import TableRuleViolation
 from charlab.flow import (GaugeField, integrate_flow, integrate_linearized,
                           index_form, path_max_defect)
-from charlab.galerkin import (build_galerkin, critical_value_formula,
-                              estimate_dual_modulus, k_shift_audit,
-                              orbit_from_critical, seed_from_orbit,
-                              suggest_K_grid)
-from charlab.geometry import make_ellipsoid, spec_for_period
+from charlab.galerkin import (ReductionOptions, critical_value_formula,
+                              k_shift_audit, orbit_from_critical,
+                              reduced_critical_point, suggest_K_grid)
+from charlab.geometry import make_ellipsoid
 from charlab.index import compute_orbit_index_data, extend_records
 from charlab.orbits import (ellipsoid_catalog, shoot_for_orbit,
                             trajectory_distance)
@@ -149,20 +148,13 @@ def test_criterion_6_K_independence(circle_bundle):
     surf = circle_bundle.surface
     orb = circle_bundle.orbits[0]
     d = circle_bundle.index_data["y1"]
-    grid = suggest_K_grid(surf, orb.prime_period, n_points=5)
-    chk = k_shift_audit(surf, orb, grid, iterate_m=1,
+    opts = ReductionOptions()
+    grid = suggest_K_grid(surf, orb.prime_period, opts, seed=0)
+    chk = k_shift_audit(surf, orb, grid, opts, seed=0,
                         path_index=d.index(1), path_nullity=d.nullity(1))
     nullity_const = len(set(chk.nullities)) == 1
     shift_const = len(set(chk.shifted)) == 1 and chk.shifted[0] == d.index(1)
-    values = []
-    for K in grid[:3]:
-        spec = spec_for_period(surf, orb.prime_period, K=float(K))
-        rng = np.random.default_rng(0)
-        om = estimate_dual_modulus(spec, rng)
-        need = int(np.ceil((2.0 / om) * spec.period_T / (2 * np.pi))) + 2
-        sys = build_galerkin(spec, need + 8, omega=om)
-        vec = sys.newton_critical(seed_from_orbit(sys, orb, m=1))
-        values.append(sys.value(vec))
+    values = chk.critical_values[:3]
     spread = max(values) - min(values)
     ok = (nullity_const and shift_const and spread <= 1e-8
           and all(v < 0 for v in values))
@@ -208,12 +200,8 @@ def test_criterion_8_reduction_vs_shooting():
             shot.append(orb)
         matched = 0
         for orb in shot:
-            spec = spec_for_period(surface, orb.prime_period)
-            rng2 = np.random.default_rng(0)
-            om = estimate_dual_modulus(spec, rng2)
-            need = int(np.ceil((2.0 / om) * spec.period_T / (2 * np.pi))) + 2
-            sys = build_galerkin(spec, need + 8, omega=om)
-            vec = sys.newton_critical(seed_from_orbit(sys, orb, m=1))
+            spec, sys, vec = reduced_critical_point(
+                surface, orb, ReductionOptions(), seed=0)
             gorb, info = orbit_from_critical(sys, vec, orb.orbit_id + "g")
             dist = trajectory_distance(orb, gorb)
             val_err = abs(sys.value(vec)

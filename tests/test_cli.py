@@ -1,10 +1,12 @@
 """End-to-end pipeline runs, exit-code contract, determinism, audits."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from charlab import geometry
 from charlab.cli import main
 
 
@@ -101,18 +103,58 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_stage_isolation(tmp_path):
+    # a partial run leaves the files of the stages it skips untouched
     cfg_path = write_config(tmp_path)
     assert main(["run", str(cfg_path)]) == 0
     out = tmp_path / "out"
-    upstream = ("surface_check.json", "orbits.json", "index_report.json")
+    cases = {
+        "resonance": ("surface_check.json", "orbits.json", "index_report.json"),
+        "index,resonance": ("surface_check.json", "orbits.json"),
+    }
 
-    def state():
+    def state(files):
         return {f: ((out / f).read_bytes(), (out / f).stat().st_mtime_ns)
-                for f in upstream}
+                for f in files}
 
-    before = state()
-    assert main(["run", str(cfg_path), "--stages", "resonance"]) == 0
-    assert state() == before
+    for stages, untouched in cases.items():
+        before = state(untouched)
+        assert main(["run", str(cfg_path), "--stages", stages]) == 0
+        assert state(untouched) == before, f"--stages {stages} rewrote a file"
+
+
+@pytest.mark.parametrize("extra, key_path", [
+    ({"tolerances": {"integrater": 1e-12}}, "tolerances.integrater"),
+    ({"galerkin": {"mode_cutt": 12}}, "galerkin.mode_cutt"),
+    ({"stage": ["geometry"]}, "stage"),
+])
+def test_unknown_config_key_rejected(tmp_path, capsys, extra, key_path):
+    cfg_path = write_config(tmp_path, **extra)
+    assert main(["run", str(cfg_path)]) == 1
+    assert f"'{key_path}'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "surface_check.json").exists()
+
+
+def test_galerkin_options_reach_every_reduction(tmp_path, monkeypatch):
+    # every Hamiltonian that run and audit build sees the configured block
+    calls = []
+
+    def record(surface, tau, **kw):
+        calls.append(kw)
+        return original(surface, tau, **kw)
+
+    original = geometry.spec_for_period
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("charlab") and hasattr(mod, "spec_for_period"):
+            monkeypatch.setattr(mod, "spec_for_period", record)
+    cfg_path = write_config(tmp_path, galerkin={
+        "enable": True, "ratio": 0.7, "theta": 0.1})
+    for command in ("run", "audit"):
+        calls.clear()
+        assert main([command, str(cfg_path)]) == 0
+        assert calls, f"{command} built no Hamiltonian"
+        for kw in calls:
+            assert (kw["ratio"], kw["theta"]) == (0.7, 0.1)
+            assert (kw["period_T"], kw["alpha"]) == (1.0, 1.92)
 
 
 def test_missing_k_tables_file_rejected_at_load(tmp_path, capsys):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from charlab.errors import InvalidArgument
-from charlab.galerkin import (build_galerkin, critical_value_formula,
-                              estimate_dual_modulus, galerkin_critical_points,
+from charlab.galerkin import (ReductionOptions, build_galerkin,
+                              critical_value_formula, galerkin_critical_points,
                               k_shift_audit, orbit_from_critical,
-                              seed_from_orbit, suggest_K_grid)
-from charlab.geometry import make_ellipsoid, spec_for_period
+                              reduced_critical_point, seed_from_orbit,
+                              suggest_K_grid)
+from charlab.geometry import make_ellipsoid
 from charlab.orbits import ellipsoid_catalog, trajectory_distance
 
 
@@ -79,52 +80,43 @@ class TestQuadraticDouble:
 def circle_system():
     surf = make_ellipsoid([1.0])
     orb = ellipsoid_catalog(surf)[0]
-    spec = spec_for_period(surf, orb.prime_period)
-    rng = np.random.default_rng(0)
-    omega = estimate_dual_modulus(spec, rng)
-    need = int(np.ceil((2.0 / omega) * spec.period_T / (2 * np.pi))) + 2
-    sys = build_galerkin(spec, need + 8, omega=omega)
-    return surf, orb, spec, sys
+    spec, sys, vec = reduced_critical_point(surf, orb, ReductionOptions(),
+                                            seed=0)
+    return surf, orb, spec, sys, vec
 
 
 class TestCircleReduction:
     def test_mode_cut_too_small_rejected(self, circle_system):
-        _, _, spec, sys = circle_system
+        _, _, spec, sys, _ = circle_system
         with pytest.raises(InvalidArgument, match="threshold"):
             build_galerkin(spec, 2, omega=sys.omega)
 
     def test_orbit_recovery(self, circle_system):
-        surf, orb, spec, sys = circle_system
-        vec = sys.newton_critical(seed_from_orbit(sys, orb, m=1))
+        surf, orb, spec, sys, vec = circle_system
         gorb, info = orbit_from_critical(sys, vec, "g1")
         assert abs(gorb.prime_period - orb.prime_period) <= 1e-8
         assert trajectory_distance(gorb, orb) <= 1e-5
         assert info["multiplicity"] == 1
 
     def test_critical_value_negative_and_matches_formula(self, circle_system):
-        surf, orb, spec, sys = circle_system
-        vec = sys.newton_critical(seed_from_orbit(sys, orb, m=1))
+        surf, orb, spec, sys, vec = circle_system
         _, info = orbit_from_critical(sys, vec, "g1")
         value = sys.value(vec)
         assert value < 0.0
         assert abs(value - critical_value_formula(spec, info["rho"])) <= 1e-6
 
     def test_value_independent_of_K(self, circle_system):
-        surf, orb, spec, _ = circle_system
+        surf, orb, spec, _, _ = circle_system
         vals = []
         for K in (spec.K, spec.K + 0.4 * 2 * np.pi / spec.period_T):
-            sp = spec_for_period(surf, orb.prime_period, K=float(K))
-            rng = np.random.default_rng(0)
-            om = estimate_dual_modulus(sp, rng)
-            need = int(np.ceil((2.0 / om) * sp.period_T / (2 * np.pi))) + 2
-            s = build_galerkin(sp, need + 8, omega=om)
-            vec = s.newton_critical(seed_from_orbit(s, orb, m=1))
+            _, s, vec = reduced_critical_point(
+                surf, orb, ReductionOptions(K=float(K)), seed=0)
             vals.append(s.value(vec))
         assert abs(vals[0] - vals[1]) <= 1e-8
 
     def test_convexity_on_complement(self, circle_system):
         # monotonicity with modulus omega/2 along non-reduction directions
-        _, _, spec, sys = circle_system
+        _, _, spec, sys, _ = circle_system
         rng = np.random.default_rng(4)
         maskH = ~sys.vec_mask_G()
         metric = spec.period_T / sys.n_grid**2
@@ -141,7 +133,7 @@ class TestCircleReduction:
         assert worst >= sys.omega / 2.0
 
     def test_zero_critical_point_filtered(self, circle_system):
-        _, orb, _, sys = circle_system
+        _, orb, _, sys, _ = circle_system
         seeds = [seed_from_orbit(sys, orb, m=1)]
         found = galerkin_critical_points(sys, seeds)
         assert len(found) == 1
@@ -150,7 +142,7 @@ class TestCircleReduction:
     def test_noisy_seed_folds_into_same_orbit(self, circle_system):
         # a perturbed loop seed must converge back to the known circle and
         # be folded with the clean result by the dedup step
-        _, orb, _, sys = circle_system
+        _, orb, _, sys, _ = circle_system
         rng = np.random.default_rng(8)
         clean = seed_from_orbit(sys, orb, m=1)
         noisy = clean + 0.05 * np.linalg.norm(clean) * rng.normal(
@@ -160,8 +152,7 @@ class TestCircleReduction:
         assert trajectory_distance(found[0][1], orb) <= 1e-5
 
     def test_mode_cut_stability(self, circle_system):
-        surf, orb, spec, sys = circle_system
-        vec = sys.newton_critical(seed_from_orbit(sys, orb, m=1))
+        surf, orb, spec, sys, vec = circle_system
         gorb, _ = orbit_from_critical(sys, vec, "g")
         big = build_galerkin(spec, 2 * sys.mode_cut, omega=sys.omega)
         vec2 = big.newton_critical(seed_from_orbit(big, orb, m=1))
@@ -173,9 +164,10 @@ class TestCircleReduction:
 def test_k_shift_audit_circle_m2():
     surf = make_ellipsoid([1.0])
     orb = ellipsoid_catalog(surf)[0]
-    grid = suggest_K_grid(surf, 2 * orb.prime_period, n_points=3)
-    chk = k_shift_audit(surf, orb, grid, iterate_m=2, path_index=2,
-                        path_nullity=1)
+    opts = ReductionOptions()
+    grid = suggest_K_grid(surf, 2 * orb.prime_period, opts, seed=0, n_points=3)
+    chk = k_shift_audit(surf, orb, grid, opts, seed=0, iterate_m=2,
+                        path_index=2, path_nullity=1)
     assert chk.consistent
     assert all(s == 2 for s in chk.shifted)
 
@@ -184,8 +176,9 @@ def test_dimension_shift_jump_across_grid(ell2_bundle):
     surf = ell2_bundle.surface
     orb = ell2_bundle.orbits[0]
     d = ell2_bundle.index_data["y1"]
-    grid = suggest_K_grid(surf, orb.prime_period, n_points=5)
-    chk = k_shift_audit(surf, orb, grid, iterate_m=1,
+    opts = ReductionOptions()
+    grid = suggest_K_grid(surf, orb.prime_period, opts, seed=0)
+    chk = k_shift_audit(surf, orb, grid, opts, seed=0,
                         path_index=d.index(1), path_nullity=d.nullity(1))
     assert chk.consistent
     jumps = {b - a for a, b in zip(chk.d_of_K[:-1], chk.d_of_K[1:])}
