@@ -24,8 +24,8 @@ import numpy as np
 
 from . import galerkin as gk
 from .errors import CharlabError, InvalidArgument, NumericFailure
-from .flow import (GaugeField, integrate_flow, integrate_linearized,
-                   index_form, path_max_defect)
+from .flow import (GaugeField, integrate_linearized, index_form,
+                   path_max_defect)
 from .geometry import surface_from_spec, check_surface_invariants
 from .index import IndexComputer, compute_orbit_index_data, extend_records
 from .orbits import (find_orbits, gate_orbit, load_registry, write_registry,
@@ -52,18 +52,52 @@ _BLOCK_KEYS = {"tolerances": _DEFAULT_TOLERANCES, "index": _DEFAULT_INDEX,
 _CONFIG_KEYS = {"surface", "out_dir", "seed", "stages", "k_tables", "seeds",
                 *_BLOCK_KEYS}
 
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _boolean(v):
+    return isinstance(v, bool)
+
+
+# key path -> (what its value must be, test); a galerkin null keeps the default
+_VALUE_KINDS = {
+    "seed": ("an integer", _integer),
+    **{f"tolerances.{k}": ("a number", _number) for k in _DEFAULT_TOLERANCES},
+    "tolerances.q_max": ("an integer", _integer),
+    "index.m_max": ("an integer", _integer),
+    "index.alpha": ("a number", _number),
+    **{f"galerkin.{f.name}": ("a number or null",
+                              lambda v: v is None or _number(v))
+       for f in fields(gk.ReductionOptions)},
+    "galerkin.mode_cut": ("an integer or null",
+                          lambda v: v is None or _integer(v)),
+    "galerkin.enable": ("true or false", _boolean),
+    "morse.enable": ("true or false", _boolean),
+}
+
 ALL_STAGES = ("geometry", "orbits", "index", "resonance")
 
 
 def _checked_keys(block, known, name: str = "") -> dict:
-    """``block`` itself; a key outside ``known`` is rejected by its path."""
+    """``block`` itself; a key outside ``known``, or a value of the wrong
+    kind (``_VALUE_KINDS``), is rejected by its path."""
     if not isinstance(block, dict):
         raise InvalidArgument(f"config {name or 'file'} must be a JSON object")
-    for key in block:
+    for key, value in block.items():
+        path = f"{name}.{key}" if name else key
         if key not in known:
-            path = f"{name}.{key}" if name else key
             raise InvalidArgument(f"unknown config key '{path}'; "
                                   f"valid: {', '.join(sorted(known))}")
+        kind, ok = _VALUE_KINDS.get(path, ("", None))
+        if ok is not None and not ok(value):
+            raise InvalidArgument(f"config key '{path}' must be {kind}, "
+                                  f"got {value!r}")
     return block
 
 
@@ -160,14 +194,11 @@ def _dump(obj, path: Path):
 def _orbit_paths(surface, orbits, cfg):
     """Rebuild the linearized index path for each registry orbit."""
     tol = cfg.tolerances["integrator"]
-    alpha = cfg.index_opts["alpha"]
     gf = GaugeField(surface)
-    S = index_form(surface, alpha)
-    out = {}
-    for orb in orbits:
-        traj = integrate_flow(gf, orb.trajectory.x0, orb.prime_period, tol=tol)
-        out[orb.orbit_id] = integrate_linearized(traj, S, tol=tol)
-    return out
+    S = index_form(surface, cfg.index_opts["alpha"])
+    return {orb.orbit_id: integrate_linearized(
+                gf, orb.trajectory.x0, orb.prime_period, S, tol=tol)
+            for orb in orbits}
 
 
 def _load_k_tables(cfg):
@@ -225,10 +256,10 @@ def _galerkin_cross_validate(cfg, surface, orbits) -> dict:
     return out
 
 
-def _index_data(cfg, orbit_id, path):
+def _index_data(cfg, orbit_id, comp):
     tol = cfg.tolerances
     return compute_orbit_index_data(
-        orbit_id, path, m_max=int(cfg.index_opts["m_max"]),
+        orbit_id, comp, m_max=int(cfg.index_opts["m_max"]),
         q_max=int(tol["q_max"]), angle_tol=tol["angle_tol"])
 
 
@@ -238,7 +269,7 @@ def compute_index_stage(cfg, surface, orbits) -> tuple:
     data = {}
     report = {"orbits": {}}
     for orb in orbits:
-        d = _index_data(cfg, orb.orbit_id, paths[orb.orbit_id])
+        d = _index_data(cfg, orb.orbit_id, IndexComputer(paths[orb.orbit_id]))
         # periodicity gates for p <= 3 K(y)
         K = d.K_of_y
         extend_records(d, 4 * K)
@@ -407,13 +438,14 @@ def audit(cfg: RunConfig) -> int:
     bott = {}
     bott_ok = True
     for orb in orbits:
-        d = index_data[orb.orbit_id] = _index_data(cfg, orb.orbit_id,
-                                                   paths[orb.orbit_id])
+        # the reference scan reuses this computer's R(t) grid and its
+        # first-period omega = 1 scan
+        scanner = IndexComputer(paths[orb.orbit_id])
+        d = index_data[orb.orbit_id] = _index_data(cfg, orb.orbit_id, scanner)
         extend_records(d, 100)
         worst = max(abs(r.index_i - r.iterate_m * d.mean_index)
                     for r in d.records)
         nu_ok = all(1 <= r.nullity_nu <= 2 * d.dim_n - 1 for r in d.records)
-        scanner = IndexComputer(paths[orb.orbit_id])
         mismatches = []
         for m in range(1, m_ref + 1):
             ref = scanner.index_pair(m)

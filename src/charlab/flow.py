@@ -184,32 +184,41 @@ def integrate_flow(hamiltonian, x0, t_end: float, tol: float = 1e-10,
         levels = hamiltonian.surface.gauge(xs)
         if np.any(levels > max_gauge):
             raise DomainError("trajectory escaped the modeled region")
+    drift = _energy_drift(hamiltonian, xs, h0, t_end, tol)
+    return Trajectory(ts=ts, xs=xs, period_tau=float(t_end), energy_level=h0,
+                      closure_residual=float(np.linalg.norm(xs[-1] - x0)),
+                      energy_drift=drift, hamiltonian=hamiltonian, sol=res.sol)
+
+
+def _energy_drift(hamiltonian, xs, h0: float, t_end: float,
+                  tol: float) -> float:
+    """Largest |H(x) - h0| over the samples; raises above the budget
+    10 * tol * max(1, t_end) * max(1, |h0|)."""
     energies = np.array([float(hamiltonian.value(x)) for x in xs])
     drift = float(np.max(np.abs(energies - h0)))
     budget = 10.0 * tol * max(1.0, abs(t_end)) * max(1.0, abs(h0))
     if drift > budget:
         raise NumericFailure("energy drift exceeds tolerance budget",
                              drift=drift, budget=budget)
-    return Trajectory(ts=ts, xs=xs, period_tau=float(t_end), energy_level=h0,
-                      closure_residual=float(np.linalg.norm(xs[-1] - x0)),
-                      energy_drift=drift, hamiltonian=hamiltonian, sol=res.sol)
+    return drift
 
 
-def integrate_linearized(traj: Trajectory, hess: Callable, tol: float = 1e-11,
-                         n_samples: int = 513,
+def integrate_linearized(ham, x0, tau: float, hess: Callable,
+                         tol: float = 1e-11, n_samples: int = 513,
                          defect_gate: float = 1e-6) -> SymplecticPath:
-    """Integrate R' = J S(x(t)) R jointly with the base trajectory.
+    """Integrate R' = J S(x(t)) R jointly with the flow of ``ham`` from x0
+    over [0, tau].
 
-    The state is re-integrated (not interpolated) so that S is evaluated on
-    the true orbit.  Samples with symplecticity defect above 1e-10 are
-    retracted onto Sp(2n); a defect above ``defect_gate`` raises.
+    The state is integrated with R (not interpolated from another solve) so
+    that S is evaluated on the true orbit; its energy drift is held to the
+    budget of ``integrate_flow``.  Samples with symplecticity defect above
+    1e-10 are retracted onto Sp(2n); a defect above ``defect_gate`` raises.
     """
-    ham = traj.hamiltonian
     n = ham.J.shape[0] // 2
     d = 2 * n
     J = ham.J
-    x0 = traj.x0
-    tau = traj.period_tau
+    x0 = np.asarray(x0, dtype=float)
+    tau = float(tau)
 
     def rhs(t, y):
         x = y[:d]
@@ -227,6 +236,7 @@ def integrate_linearized(traj: Trajectory, hess: Callable, tol: float = 1e-11,
         raise NumericFailure(f"linearized integration failed: {res.message}")
     ts = np.linspace(0.0, tau, n_samples)
     ys = res.sol(ts)
+    _energy_drift(ham, ys[:d].T, float(ham.value(x0)), tau, tol)
     Rs = ys[d:].T.reshape(len(ts), d, d)
     defect = max(symplectic_defect(R, J) for R in Rs[:: max(1, len(ts) // 32)])
     defect = max(defect, symplectic_defect(Rs[-1], J))

@@ -9,7 +9,13 @@ Every iterate follows from one period's data by Bott's iteration formula
 i_omega is locally constant off the monodromy's unit eigenvalues, so it is
 read from a table of the arcs between eigenvalue angles; a root of unity
 within ``angle_tol`` of an eigenvalue angle takes the index at that
-eigenvalue.  A one-period index counts regular crossings of
+eigenvalue.  The table needs one scan, on the first arc after 1: going
+counter-clockwise across a simple eigenvalue exp(i theta), theta in
+(0, pi), whose Krein form kappa(v) = Re(-i v* J v) is definite, i_omega
+changes by -sign kappa(v), and i_omega = i_conj(omega) for a real path
+gives the lower half of the circle from the upper one.  Any other arc (a
+multiple eigenvalue, or kappa too small to trust its sign) is scanned.
+A one-period index counts regular crossings of
 ``det(R(t) - omega I) = 0``: the start gives half the signature of S(0)
 (omega = 1 only), each interior crossing the signature of S(t) on
 ker(R(t) - omega I), the endpoint minus the negative count of that form.
@@ -31,8 +37,13 @@ import scipy.optimize
 from .errors import (ConsistencyFailure, InvalidArgument, InvariantViolation,
                      NumericFailure)
 from .flow import SymplecticPath
+from .sympl import standard_J
 
 _TWO_PI = 2.0 * np.pi
+# an eigenvalue with no other within _KREIN_GAP is simple; its Krein sign is
+# trusted when |kappa| of the unit eigenvector reaches _KREIN_MIN
+_KREIN_GAP = 1e-4
+_KREIN_MIN = 1e-3
 
 
 def _circle_dist(a: float, b: float) -> float:
@@ -216,27 +227,30 @@ class IndexComputer:
         plus, for real omega, determinant sign changes.  Each refined
         candidate is classified by its numerical kernel.
         """
+        real = abs(omega.imag) < 1e-15
+        if real:
+            omega = omega.real      # R(t) M^k - omega I stays real
         Mk = self.path.monodromy_power(k)
-        Rk = (self.scan_Rs @ Mk if k else self.scan_Rs).astype(complex)
+        Rk = self.scan_Rs @ Mk if k else self.scan_Rs
         A = Rk - omega * np.eye(self.d)
         smin = np.linalg.svd(A, compute_uv=False)[:, -1]
         ts = self.scan_ts + k * self.tau
 
         def fmat(t):
             R = self.path.base_at(t - k * self.tau) @ Mk
-            return R.astype(complex) - omega * np.eye(self.d)
+            return R - omega * np.eye(self.d)
 
         def fsig(t):
             return float(np.linalg.svd(fmat(t), compute_uv=False)[-1])
 
         ceiling = 0.25 * float(np.median(smin)) + 1e-300
         cands = []
-        if abs(omega.imag) < 1e-15:
-            dets = np.linalg.det(A).real
+        if real:
+            dets = np.linalg.det(A)
             flips = np.nonzero(dets[:-1] * dets[1:] < 0)[0]
             for i in flips:
                 t = scipy.optimize.brentq(
-                    lambda t: float(np.linalg.det(fmat(t)).real),
+                    lambda t: float(np.linalg.det(fmat(t))),
                     ts[i], ts[i + 1], xtol=1e-13 * max(1.0, self.tau))
                 cands.append(float(t))
         mins = np.nonzero((smin[1:-1] < smin[:-2]) & (smin[1:-1] <= smin[2:])
@@ -277,7 +291,7 @@ class IndexComputer:
 
     def _form_at(self, t: float, A: np.ndarray, label: str):
         """(signature, negatives) of the crossing form on ker(A) at t."""
-        return self._crossing_signature(t, A.astype(complex), label) or (0, 0)
+        return self._crossing_signature(t, A, label) or (0, 0)
 
     # -- public ---------------------------------------------------------------
     def index_pair(self, m: int):
@@ -325,16 +339,17 @@ def maslov_index(path: SymplecticPath, m: int, **kw):
     return IndexComputer(path, **kw).index_pair(m)
 
 
-def unit_spectrum_angles(path: SymplecticPath, *, circle_tol: float = 1e-7,
+def unit_spectrum_angles(eigvals, *, circle_tol: float = 1e-7,
                          one_cluster_tol: float = 1e-4):
-    """Angles in [0, 2pi) of the monodromy's unit-circle eigenvalues.
+    """Angles in [0, 2pi) of the unit-circle eigenvalues among ``eigvals``
+    (the monodromy's).
 
     Eigenvalues within ``one_cluster_tol`` of 1 are collapsed to angle 0:
     a defective 1-eigenvalue (the generic orbit case) splits numerically by
     the square root of the integration defect, far beyond ``circle_tol``.
     """
     angles = []
-    for lam in np.linalg.eigvals(path.end_monodromy):
+    for lam in eigvals:
         if abs(lam - 1.0) < one_cluster_tol:
             angles.append(0.0)
         elif abs(abs(lam) - 1.0) < circle_tol:
@@ -344,6 +359,43 @@ def unit_spectrum_angles(path: SymplecticPath, *, circle_tol: float = 1e-7,
         if not uniq or _circle_dist(a, uniq[-1]) > 1e-9:
             uniq.append(a)
     return uniq
+
+
+def _krein_step(eigvals, eigvecs, angle: float, J: np.ndarray):
+    """-sign kappa(v) at the eigenvalue exp(i*angle), the change of i_omega
+    as omega passes it counter-clockwise; None unless the eigenvalue is
+    simple and its Krein form definite."""
+    near = np.abs(eigvals - np.exp(1j * angle)) < _KREIN_GAP
+    if np.count_nonzero(near) != 1:
+        return None
+    v = eigvecs[:, near][:, 0]                  # unit norm from np.linalg.eig
+    kappa = float((-1j * v.conj() @ J @ v).real)
+    return None if abs(kappa) < _KREIN_MIN else -int(np.sign(kappa))
+
+
+def _arc_table(comp: IndexComputer, angles: list, eigvals, eigvecs):
+    """(lo, hi, i_omega) on each arc between consecutive eigen-angles.
+
+    The first arc is scanned.  An arc whose midpoint mirrors into an arc
+    already known takes its value (i_conj(omega) = i_omega); an arc that
+    starts at a simple Krein-definite eigenvalue in (0, pi) takes the
+    previous value plus the Krein step; any other arc is scanned.
+    """
+    bounds = angles + [angles[0] + _TWO_PI]
+    J = standard_J(comp.n)
+    table = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo < 1e-9:
+            continue
+        mid = 0.5 * (lo + hi)
+        i_om = next((i for a, b, i in table if a < _TWO_PI - mid < b), None)
+        if i_om is None and table and lo < np.pi:
+            step = _krein_step(eigvals, eigvecs, lo, J)
+            i_om = None if step is None else table[-1][2] + step
+        if i_om is None:
+            i_om = comp.omega_index(mid)
+        table.append((lo, hi, i_om))
+    return table
 
 
 def mean_index(arc_table, records, n: int, *, q_max: int = 64,
@@ -397,33 +449,32 @@ def rational_turn(angle: float, angle_tol: float = 1e-7,
     return next(iter(matches)) if matches else None
 
 
-def minimal_period_K(path: SymplecticPath, angle_tol: float = 1e-7,
-                     q_max: int = 64) -> int:
-    """Twice the lcm of denominators of rational rotation angles of the
-    monodromy's unit-circle eigenvalues; 2 when none are rational."""
-    turns = [rational_turn(a, angle_tol, q_max)
-             for a in unit_spectrum_angles(path)]
+def minimal_period_K(angles, angle_tol: float = 1e-7, q_max: int = 64) -> int:
+    """Twice the lcm of denominators of the rational turns among the unit
+    eigenvalue angles; 2 when none are rational."""
+    turns = [rational_turn(a, angle_tol, q_max) for a in angles]
     return 2 * math.lcm(*(t.denominator for t in turns if t is not None))
 
 
-def compute_orbit_index_data(orbit_id: str, path: SymplecticPath, *,
+def compute_orbit_index_data(orbit_id: str, comp: IndexComputer, *,
                              m_max: int = 20, q_max: int = 64,
                              angle_tol: float = 1e-7) -> OrbitIndexData:
-    """Full index table for one orbit: records, mean index, minimal period.
+    """Full index table for one orbit from the crossing scanner ``comp`` of
+    its path: records, mean index, minimal period.
 
-    The crossing scanner runs over the first period only: at omega = 1, at
-    each arc's midpoint and at each rational eigen-angle's root of unity.
+    The monodromy is eigen-decomposed once.  The scanner runs over the
+    first period only: at omega = 1, on the arcs the Krein step and the
+    conjugate mirror do not reach (see ``_arc_table``; one arc for a
+    spectrum of simple Krein-definite eigenvalues) and at each rational
+    eigen-angle's root of unity.
     """
-    comp = IndexComputer(path)
     n = comp.n
     i_1, nu_1 = comp.index_pair(1)
-    angles = unit_spectrum_angles(path)
+    eigvals, eigvecs = np.linalg.eig(comp.path.end_monodromy)
+    angles = unit_spectrum_angles(eigvals)
     if not angles or angles[0] > 1e-12:
         angles = [0.0] + angles
-    bounds = angles + [angles[0] + _TWO_PI]
-    arc_table = [(lo, hi, comp.omega_index(0.5 * (lo + hi)))
-                 for lo, hi in zip(bounds[:-1], bounds[1:])
-                 if hi - lo >= 1e-9]
+    arc_table = _arc_table(comp, angles, eigvals, eigvecs)
     on_point = {}
     for a in angles:
         turn = rational_turn(a, angle_tol, q_max)
@@ -435,7 +486,7 @@ def compute_orbit_index_data(orbit_id: str, path: SymplecticPath, *,
                        on_point=on_point, angle_tol=angle_tol)
     records = _records(orbit_id, it, 1, max(m_max, 2 * n + 2))
     ihat, frac, bar, slope = mean_index(arc_table, records, n, q_max=q_max)
-    K_y = minimal_period_K(path, angle_tol=angle_tol, q_max=q_max)
+    K_y = minimal_period_K(angles, angle_tol=angle_tol, q_max=q_max)
     return OrbitIndexData(orbit_id=orbit_id, dim_n=n, records=records,
                           mean_index=ihat, mean_index_fraction=frac,
                           mean_index_bar=bar, slope_estimate=slope,

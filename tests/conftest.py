@@ -4,10 +4,9 @@ import warnings
 
 import pytest
 
-from charlab.flow import (GaugeField, integrate_flow, integrate_linearized,
-                          index_form)
+from charlab.flow import GaugeField, integrate_linearized, index_form
 from charlab.geometry import make_ellipsoid, make_perturbed_ellipsoid
-from charlab.index import compute_orbit_index_data
+from charlab.index import IndexComputer, compute_orbit_index_data
 from charlab.orbits import ellipsoid_catalog, find_orbits
 
 RADII_2D = [1.0, 2.0**0.25]           # squared ratio sqrt(2), irrational
@@ -35,10 +34,10 @@ def solve_bundle(radii, m_max=14, alpha=1.5, tol=1e-12, surface=None):
     paths = {}
     data = {}
     for orb in orbits:
-        traj = integrate_flow(gf, orb.trajectory.x0, orb.prime_period, tol=tol)
-        paths[orb.orbit_id] = integrate_linearized(traj, S, tol=tol)
+        paths[orb.orbit_id] = integrate_linearized(
+            gf, orb.trajectory.x0, orb.prime_period, S, tol=tol)
         data[orb.orbit_id] = compute_orbit_index_data(
-            orb.orbit_id, paths[orb.orbit_id], m_max=m_max)
+            orb.orbit_id, IndexComputer(paths[orb.orbit_id]), m_max=m_max)
     return Bundle(surface, orbits, paths, data)
 
 

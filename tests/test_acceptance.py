@@ -22,13 +22,14 @@ from fractions import Fraction
 import numpy as np
 
 from charlab.errors import TableRuleViolation
-from charlab.flow import (GaugeField, integrate_flow, integrate_linearized,
-                          index_form, path_max_defect)
+from charlab.flow import (GaugeField, integrate_linearized, index_form,
+                          path_max_defect)
 from charlab.galerkin import (ReductionOptions, critical_value_formula,
                               k_shift_audit, orbit_from_critical,
                               reduced_critical_point, suggest_K_grid)
 from charlab.geometry import make_ellipsoid
-from charlab.index import compute_orbit_index_data, extend_records
+from charlab.index import (IndexComputer, compute_orbit_index_data,
+                           extend_records)
 from charlab.orbits import (ellipsoid_catalog, shoot_for_orbit,
                             trajectory_distance)
 from charlab.resonance import (OrbitContribution, chi_partial_averages,
@@ -56,10 +57,10 @@ def full_identity(radii_or_surface, m_max=14):
     contribs = []
     datas = {}
     for orb in orbits:
-        traj = integrate_flow(gf, orb.trajectory.x0, orb.prime_period,
-                              tol=1e-12)
-        path = integrate_linearized(traj, S, tol=1e-12)
-        d = compute_orbit_index_data(orb.orbit_id, path, m_max=m_max)
+        path = integrate_linearized(gf, orb.trajectory.x0, orb.prime_period,
+                                    S, tol=1e-12)
+        d = compute_orbit_index_data(orb.orbit_id, IndexComputer(path),
+                                     m_max=m_max)
         table = critical_type_numbers(d)
         chis, chi_hat = euler_characteristics(table, d)
         contribs.append(OrbitContribution(

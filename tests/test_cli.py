@@ -134,6 +134,18 @@ def test_unknown_config_key_rejected(tmp_path, capsys, extra, key_path):
     assert not (tmp_path / "out" / "surface_check.json").exists()
 
 
+@pytest.mark.parametrize("extra, key_path", [
+    ({"galerkin": {"enable": True, "ratio": "0.7x"}}, "galerkin.ratio"),
+    ({"index": {"m_max": "20", "alpha": 1.5}}, "index.m_max"),
+])
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, extra,
+                                             key_path):
+    cfg_path = write_config(tmp_path, **extra)
+    assert main(["run", str(cfg_path)]) == 1
+    assert f"'{key_path}'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "surface_check.json").exists()
+
+
 def test_galerkin_options_reach_every_reduction(tmp_path, monkeypatch):
     # every Hamiltonian that run and audit build sees the configured block
     calls = []

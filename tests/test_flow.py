@@ -48,9 +48,8 @@ def test_energy_conservation_budget():
 @pytest.fixture(scope="module")
 def circle_path():
     surf = make_ellipsoid([1.0])
-    traj = integrate_flow(GaugeField(surf), np.array([1.0, 0.0]),
-                          2 * np.pi, tol=1e-12)
-    return integrate_linearized(traj, index_form(surf, 1.5), tol=1e-12)
+    return integrate_linearized(GaugeField(surf), np.array([1.0, 0.0]),
+                                2 * np.pi, index_form(surf, 1.5), tol=1e-12)
 
 
 class TestLinearized:
@@ -81,10 +80,10 @@ class TestLinearized:
         surf = make_ellipsoid([1.0, 2.0**0.25])
         x0 = np.array([1.0, 0.0, 0.0, 0.0])
         tau = 2 * np.pi
-        traj = integrate_flow(GaugeField(surf), x0, tau, tol=1e-12)
-        path = integrate_linearized(traj, index_form(surf, 1.5), tol=1e-12)
-        traj5 = integrate_flow(GaugeField(surf), x0, 5 * tau, tol=1e-12)
-        path5 = integrate_linearized(traj5, index_form(surf, 1.5), tol=1e-12)
+        S = index_form(surf, 1.5)
+        path = integrate_linearized(GaugeField(surf), x0, tau, S, tol=1e-12)
+        path5 = integrate_linearized(GaugeField(surf), x0, 5 * tau, S,
+                                     tol=1e-12)
         for m in range(1, 6):
             stitched = path.at(m * tau)
             direct = path5.sol(m * tau)[4:].reshape(4, 4)
@@ -105,9 +104,9 @@ def test_elliptic_angle_against_refined_integration(ell2_bundle):
     # oracle: re-integrate the monodromy at a tighter tolerance
     surf = ell2_bundle.surface
     orb = ell2_bundle.orbits[0]
-    traj = integrate_flow(GaugeField(surf), orb.trajectory.x0,
-                          orb.prime_period, tol=1e-13)
-    path = integrate_linearized(traj, index_form(surf, 1.5), tol=1e-13)
+    path = integrate_linearized(GaugeField(surf), orb.trajectory.x0,
+                                orb.prime_period, index_form(surf, 1.5),
+                                tol=1e-13)
     ref = ell2_bundle.paths["y1"].end_monodromy
     assert np.max(np.abs(path.end_monodromy - ref)) <= 1e-8
 
@@ -157,8 +156,19 @@ def test_escape_gate_raises_domain_error():
 def test_defect_gate_raises():
     # a non-symmetric "Hessian" destroys symplecticity; the gate must fire
     surf = make_ellipsoid([1.0])
-    traj = integrate_flow(GaugeField(surf), np.array([1.0, 0.0]),
-                          2 * np.pi, tol=1e-12)
     skew = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NumericFailure, match="defect"):
-        integrate_linearized(traj, lambda x: skew, tol=1e-10)
+        integrate_linearized(GaugeField(surf), np.array([1.0, 0.0]),
+                             2 * np.pi, lambda x: skew, tol=1e-10)
+
+
+def test_linearized_energy_drift_gate_raises():
+    # the joint solve's state samples carry the flow's energy-drift check
+    class Leaky(GaugeField):
+        def value(self, x):
+            return super().value(x) + 1e-6 * x[0]
+
+    surf = make_ellipsoid([1.0])
+    with pytest.raises(NumericFailure, match="energy drift"):
+        integrate_linearized(Leaky(surf), np.array([1.0, 0.0]), 2 * np.pi,
+                             index_form(surf, 1.5), tol=1e-12)

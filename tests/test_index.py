@@ -62,6 +62,39 @@ def circle_model_path(alpha=1.5):
     return synthetic_path(R, S_of_t, 2 * np.pi, 1)
 
 
+def direct_sum_path(blocks):
+    """Path over the period 2pi of the direct sum of 2x2 blocks
+    (R_k(t), S_k(t)), the k-th acting on (q_k, p_k)."""
+    n = len(blocks)
+
+    def embed(mats):
+        out = np.zeros((2 * n, 2 * n))
+        for k, m in enumerate(mats):
+            out[np.ix_([k, n + k], [k, n + k])] = m
+        return out
+
+    return synthetic_path(lambda t: embed([R(t) for R, _ in blocks]),
+                          lambda t: embed([S(t) for _, S in blocks]),
+                          2 * np.pi, n)
+
+
+def circle_block():
+    circle = circle_model_path()
+    return circle.base_at, circle.S_at
+
+
+def uniform_turn(total):
+    """Block turning by ``total`` radians over the period 2pi at constant
+    speed c: R(t) = exp(c t J), S = c I (forward for c > 0)."""
+    c = total / (2 * np.pi)
+
+    def R(t):
+        a = c * t
+        return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+    return R, lambda t: c * np.eye(2)
+
+
 def monodromy_only_path(M, n):
     d = 2 * n
 
@@ -70,6 +103,10 @@ def monodromy_only_path(M, n):
         return np.eye(d) * (1 - w) + M * w   # only the endpoint matters here
 
     return synthetic_path(R, lambda t: np.eye(d), 2 * np.pi, n)
+
+
+def unit_angles(M):
+    return unit_spectrum_angles(np.linalg.eigvals(M))
 
 
 def block_rotation(angles):
@@ -173,18 +210,18 @@ class TestThreePlaneIndices:
 
 def test_identity_on_golden_ratio_ellipsoid():
     # a different irrational spectrum: squared radii (1, golden ratio)
-    from charlab.flow import (GaugeField, integrate_flow, integrate_linearized,
-                              index_form)
+    from charlab.flow import GaugeField, integrate_linearized, index_form
     from charlab.geometry import make_ellipsoid
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     surf = make_ellipsoid([1.0, phi**0.5])
     from charlab.orbits import ellipsoid_catalog
     total = 0.0
     for orb in ellipsoid_catalog(surf):
-        traj = integrate_flow(GaugeField(surf), orb.trajectory.x0,
-                              orb.prime_period, tol=1e-12)
-        path = integrate_linearized(traj, index_form(surf, 1.5), tol=1e-12)
-        d = compute_orbit_index_data(orb.orbit_id, path, m_max=8)
+        path = integrate_linearized(GaugeField(surf), orb.trajectory.x0,
+                                    orb.prime_period, index_form(surf, 1.5),
+                                    tol=1e-12)
+        d = compute_orbit_index_data(orb.orbit_id, IndexComputer(path),
+                                     m_max=8)
         total += 1.0 / d.mean_index      # even parity throughout: chi_hat = 1
     assert abs(total - 0.5) <= 1e-10
 
@@ -206,16 +243,15 @@ class TestInvariantGates:
 def test_homogeneity_exponent_independence(ell2_bundle):
     # the index data must not depend on the exponent used for the
     # linearization (any value in (1, 2) gives the same path counts)
-    from charlab.flow import (GaugeField, integrate_flow, integrate_linearized,
-                              index_form)
+    from charlab.flow import GaugeField, integrate_linearized, index_form
     surf = ell2_bundle.surface
     orb = ell2_bundle.orbits[0]
     ref = ell2_bundle.index_data["y1"]
     for alpha in (1.3, 1.7):
-        traj = integrate_flow(GaugeField(surf), orb.trajectory.x0,
-                              orb.prime_period, tol=1e-12)
-        path = integrate_linearized(traj, index_form(surf, alpha), tol=1e-12)
-        data = compute_orbit_index_data("a", path, m_max=10)
+        path = integrate_linearized(GaugeField(surf), orb.trajectory.x0,
+                                    orb.prime_period, index_form(surf, alpha),
+                                    tol=1e-12)
+        data = compute_orbit_index_data("a", IndexComputer(path), m_max=10)
         assert all(data.index(m) == ref.index(m) for m in range(1, 11))
         assert all(data.nullity(m) == ref.nullity(m) for m in range(1, 11))
         assert abs(data.mean_index - ref.mean_index) <= 1e-8
@@ -223,16 +259,15 @@ def test_homogeneity_exponent_independence(ell2_bundle):
 
 
 def test_scaling_invariance_of_mean_index(ell2_bundle):
-    from charlab.flow import (GaugeField, integrate_flow, integrate_linearized,
-                              index_form)
+    from charlab.flow import GaugeField, integrate_linearized, index_form
     from charlab.geometry import make_ellipsoid
     lam = 2.0
     surf = make_ellipsoid([lam * 1.0, lam * 2.0**0.25])
     tau = 2 * np.pi * lam**2
-    traj = integrate_flow(GaugeField(surf),
-                          np.array([lam, 0.0, 0.0, 0.0]), tau, tol=1e-12)
-    path = integrate_linearized(traj, index_form(surf, 1.5), tol=1e-12)
-    data = compute_orbit_index_data("s", path, m_max=10)
+    path = integrate_linearized(GaugeField(surf),
+                                np.array([lam, 0.0, 0.0, 0.0]), tau,
+                                index_form(surf, 1.5), tol=1e-12)
+    data = compute_orbit_index_data("s", IndexComputer(path), m_max=10)
     ref = ell2_bundle.index_data["y1"]
     assert abs(data.mean_index - ref.mean_index) <= 1e-8
     assert all(data.index(m) == ref.index(m) for m in range(1, 11))
@@ -244,24 +279,22 @@ class TestMinimalPeriod:
 
     def test_third_root_gives_six(self):
         M = block_rotation([2 * np.pi / 3, 2 * np.pi / 3])
-        path = monodromy_only_path(M, 2)
-        assert minimal_period_K(path) == 6
+        assert minimal_period_K(unit_angles(M)) == 6
 
     def test_two_rational_pairs_lcm(self):
         M = block_rotation([2 * np.pi / 3, 2 * np.pi / 4])
-        path = monodromy_only_path(M, 2)
-        assert minimal_period_K(path) == 24
+        assert minimal_period_K(unit_angles(M)) == 24
 
     def test_ambiguous_angle_raises_with_candidates(self):
         # 0.30 of a turn sits within the tolerance of both 1/3 and 2/7
         M = block_rotation([2 * np.pi * 0.30])
-        path = monodromy_only_path(M, 1)
         with pytest.raises(NumericFailure) as e:
-            minimal_period_K(path, angle_tol=2 * np.pi * 0.045, q_max=8)
+            minimal_period_K(unit_angles(M), angle_tol=2 * np.pi * 0.045,
+                             q_max=8)
         assert "candidates" in e.value.info
 
     def test_unit_cluster_handles_defective_one(self, circle_bundle):
-        angles = unit_spectrum_angles(circle_bundle.paths["y1"])
+        angles = unit_angles(circle_bundle.paths["y1"].end_monodromy)
         assert angles == [0.0]
 
 
@@ -322,27 +355,64 @@ def test_iteration_formula_endpoint_term_at_eigenvalue():
     # the circle model in (q1, p1) times a backward half-turn in (q2, p2):
     # M = shear (+) -I, and the form on ker(M + I) is negative definite, so
     # the index at the eigenvalue -1 carries a nonzero endpoint term
-    circle = circle_model_path()
-    cols = ([0, 2], [1, 3])
-
-    def blocks(a, b):
-        out = np.zeros((4, 4))
-        out[np.ix_(cols[0], cols[0])] = a
-        out[np.ix_(cols[1], cols[1])] = b
-        return out
-
-    def R(t):
-        c, s = np.cos(t / 2), np.sin(t / 2)
-        return blocks(circle.base_at(t), np.array([[c, s], [-s, c]]))
-
-    def S(t):
-        return blocks(circle.S_at(t), -0.5 * np.eye(2))
-
-    path = synthetic_path(R, S, 2 * np.pi, 2)
-    d = compute_orbit_index_data("z", path, m_max=8)
+    path = direct_sum_path([circle_block(), uniform_turn(-np.pi)])
+    d = compute_orbit_index_data("z", IndexComputer(path), m_max=8)
     scanner = IndexComputer(path)
     for m in range(1, 9):
         assert (d.index(m), d.nullity(m)) == scanner.index_pair(m), m
+
+
+@pytest.fixture
+def omega_scans(monkeypatch):
+    """Angles of every IndexComputer.omega_index call from here on."""
+    calls = []
+    original = IndexComputer.omega_index
+
+    def spy(self, angle):
+        calls.append(angle)
+        return original(self, angle)
+
+    monkeypatch.setattr(IndexComputer, "omega_index", spy)
+    return calls
+
+
+def arc_table_and_scans(oid, path, omega_scans):
+    """The arc table and the number of omega scans it took, after checking
+    it against an omega scan at every arc midpoint."""
+    table = compute_orbit_index_data(oid, IndexComputer(path),
+                                     m_max=8).iteration.arc_table
+    scans = len(omega_scans)
+    ref = IndexComputer(path)
+    for lo, hi, i_om in table:
+        assert i_om == ref.omega_index(0.5 * (lo + hi)), (oid, lo, hi)
+    return table, scans
+
+
+def test_krein_steps_of_both_signs(omega_scans):
+    # circle (+) forward turn by 2pi + 1.1 (+) backward turn by 2.3: simple
+    # eigenvalues exp(1.1i) with kappa = +1 and exp(2.3i) with kappa = -1
+    path = direct_sum_path([circle_block(), uniform_turn(2 * np.pi + 1.1),
+                            uniform_turn(-2.3)])
+    table, scans = arc_table_and_scans("k", path, omega_scans)
+    assert [round(lo, 9) for lo, _, _ in table[1:3]] == [1.1, 2.3]
+    assert [b[2] - a[2] for a, b in zip(table[:2], table[1:3])] == [-1, 1]
+    assert scans == 1
+
+
+def test_opposite_krein_signs_fall_back_to_a_scan(omega_scans):
+    # exp(2i) is a double eigenvalue, kappa = +1 on the forward block and -1
+    # on the backward one: no single step crosses it, so its arc is scanned
+    path = direct_sum_path([circle_block(), uniform_turn(2.0),
+                            uniform_turn(-2.0)])
+    table, scans = arc_table_and_scans("k", path, omega_scans)
+    assert len(table) == 3 and scans == 2
+
+
+def test_one_omega_scan_per_orbit(ell3_bundle, omega_scans):
+    for oid, path in ell3_bundle.paths.items():
+        omega_scans.clear()
+        table, scans = arc_table_and_scans(oid, path, omega_scans)
+        assert len(table) == 5 and scans == 1, oid
 
 
 def test_extend_records(circle_bundle):
