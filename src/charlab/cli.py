@@ -23,11 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import galerkin as gk
-from .errors import CharlabError, InvalidArgument, NumericFailure
+from .errors import (CharlabError, ConsistencyFailure, InvalidArgument,
+                     NumericFailure)
 from .flow import (GaugeField, integrate_linearized, index_form,
                    path_max_defect)
 from .geometry import surface_from_spec, check_surface_invariants
-from .index import IndexComputer, compute_orbit_index_data, extend_records
+from .index import (IndexComputer, IterationData, compute_orbit_index_data,
+                    extend_records, index_data_from_iteration)
 from .orbits import (find_orbits, gate_orbit, load_registry, write_registry,
                      trajectory_distance)
 from .resonance import (OrbitContribution, chi_partial_averages,
@@ -263,6 +265,20 @@ def _index_data(cfg, orbit_id, comp):
         q_max=int(tol["q_max"]), angle_tol=tol["angle_tol"])
 
 
+def _check_k_periodic(d):
+    """Extend the records to 4 K(y) and check that nullity and index parity
+    repeat with period K(y) for p <= 3 K(y)."""
+    K = d.K_of_y
+    extend_records(d, 4 * K)
+    for p in range(1, 3 * K + 1):
+        if d.nullity(p + K) != d.nullity(p):
+            raise CharlabError(
+                f"orbit {d.orbit_id}: nullity not K-periodic at p={p}")
+        if (d.index(p + K) - d.index(p)) % 2 != 0:
+            raise CharlabError(
+                f"orbit {d.orbit_id}: index parity not K-periodic at p={p}")
+
+
 def compute_index_stage(cfg, surface, orbits) -> tuple:
     """Index data per orbit and the index report, without writing it."""
     paths = _orbit_paths(surface, orbits, cfg)
@@ -270,19 +286,12 @@ def compute_index_stage(cfg, surface, orbits) -> tuple:
     report = {"orbits": {}}
     for orb in orbits:
         d = _index_data(cfg, orb.orbit_id, IndexComputer(paths[orb.orbit_id]))
-        # periodicity gates for p <= 3 K(y)
-        K = d.K_of_y
-        extend_records(d, 4 * K)
-        for p in range(1, 3 * K + 1):
-            if d.nullity(p + K) != d.nullity(p):
-                raise CharlabError(
-                    f"orbit {orb.orbit_id}: nullity not K-periodic at p={p}")
-            if (d.index(p + K) - d.index(p)) % 2 != 0:
-                raise CharlabError(
-                    f"orbit {orb.orbit_id}: index parity not K-periodic at p={p}")
+        _check_k_periodic(d)
         report["orbits"][orb.orbit_id] = {
             "records": [[r.iterate_m, r.index_i, r.nullity_nu]
                         for r in d.records],
+            "iteration": {**d.iteration.to_json(),
+                          "prime_period": orb.prime_period},
             "mean_index": d.mean_index,
             "mean_index_exact": (f"{d.mean_index_fraction.numerator}/"
                                  f"{d.mean_index_fraction.denominator}"
@@ -396,23 +405,63 @@ def run(cfg: RunConfig) -> int:
 
 
 def stage_index_from_files(cfg, surface, orbits):
-    """Recompute the index data, check it against the stored report and
-    leave the report untouched."""
+    """Index data rebuilt from the iteration blocks of the stored report,
+    which must name the registry's orbits and prime periods and whose
+    records, mean index and K(y) the rebuilt data must reproduce; nothing
+    is integrated or scanned, and the report is left untouched."""
     report_path = cfg.out_dir / "index_report.json"
     if not report_path.exists():
         raise InvalidArgument(
             f"missing {report_path}; run the index stage first")
-    stored = json.loads(report_path.read_text())
-    data, _ = compute_index_stage(cfg, surface, orbits)
-    for oid, block in stored["orbits"].items():
-        d = data[oid]
-        for m, i_m, nu_m in block["records"]:
-            if m > len(d.records):
-                break
-            if d.index(m) != i_m or d.nullity(m) != nu_m:
-                raise CharlabError(
-                    f"stored index report disagrees with recomputation "
-                    f"for orbit {oid} at m={m}")
+    try:
+        stored = json.loads(report_path.read_text())["orbits"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConsistencyFailure(f"{report_path.name} unreadable ({e!r}); "
+                                 f"rerun the index stage")
+    ids = sorted(orb.orbit_id for orb in orbits)
+    if sorted(stored) != ids:
+        raise ConsistencyFailure(
+            f"{report_path.name} lists orbits {sorted(stored)}, the registry "
+            f"{ids}; rerun the index stage")
+    data = {}
+    for orb in orbits:
+        oid, block = orb.orbit_id, stored[orb.orbit_id]
+
+        def stale(key, what):
+            return ConsistencyFailure(
+                f"{report_path.name}, orbit {oid}, field '{key}': {what}; "
+                f"rerun the index stage")
+
+        it = block.get("iteration")
+        if not isinstance(it, dict):
+            raise stale("iteration", "missing (written by an older charlab)")
+        if it.get("prime_period") != orb.prime_period:
+            raise stale("iteration.prime_period",
+                        f"{it.get('prime_period')!r}, the registry has "
+                        f"{orb.prime_period!r}")
+        try:
+            iteration = IterationData.from_json(it, surface.dim_n)
+        except (KeyError, TypeError, ValueError) as e:
+            raise stale("iteration", f"malformed ({e!r})")
+        d = index_data_from_iteration(oid, iteration,
+                                      m_max=int(cfg.index_opts["m_max"]),
+                                      q_max=int(cfg.tolerances["q_max"]))
+        _check_k_periodic(d)
+        rows = block.get("records")
+        if not isinstance(rows, list):
+            raise stale("records", "missing")
+        extend_records(d, len(rows))
+        for row, r in zip(rows, d.records):
+            if row != [r.iterate_m, r.index_i, r.nullity_nu]:
+                raise stale("records", f"{row!r} stored, (i, nu) = "
+                            f"({r.index_i}, {r.nullity_nu}) at iterate "
+                            f"{r.iterate_m} rebuilt from the iteration block")
+        for key, value in (("mean_index", d.mean_index),
+                           ("K_of_y", d.K_of_y)):
+            if block.get(key) != value:
+                raise stale(key, f"{block.get(key)!r} stored, {value!r} "
+                                 f"rebuilt from the iteration block")
+        data[oid] = d
     return data
 
 

@@ -1,11 +1,9 @@
 """Hamiltonian flow integration and the linearized symplectic path.
 
 Vector fields are ``xdot = J grad H(x)``.  Besides the full modified
-Hamiltonian this module ships two canonical fields on a surface:
-
-* ``GaugeField``: H = j itself; on the surface ``grad j(y) . y = 1``, so its
-  trajectories carry the canonical time normalisation used for periods.
-* ``PowerHamiltonian``: H = j^alpha.
+Hamiltonian this module ships the canonical field on a surface,
+``GaugeField``: H = j itself; on the surface ``grad j(y) . y = 1``, so its
+trajectories carry the canonical time normalisation used for periods.
 
 For index work the linearization is integrated along the canonical-clock
 trajectory with the effective Hessian ``(alpha-1) g g^T + hess j`` (see
@@ -16,12 +14,10 @@ index or nullity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 from .errors import DomainError, NumericFailure
 from .geometry import Hypersurface
@@ -43,31 +39,6 @@ class GaugeField:
 
     def hess(self, x):
         return self.surface.gauge_hess(x)
-
-
-class PowerHamiltonian:
-    """H = j^alpha on a surface (alpha = 2 gives the squared-gauge flow)."""
-
-    def __init__(self, surface: Hypersurface, alpha: float):
-        self.surface = surface
-        self.alpha = float(alpha)
-        self.J = standard_J(surface.dim_n)
-
-    def value(self, x):
-        return self.surface.gauge(x)**self.alpha
-
-    def grad(self, x):
-        j = self.surface.gauge(x)
-        g = self.surface.gauge_grad(x)
-        return self.alpha * j**(self.alpha - 1.0) * g
-
-    def hess(self, x):
-        a = self.alpha
-        j = self.surface.gauge(x)
-        g = self.surface.gauge_grad(x)
-        Hj = self.surface.gauge_hess(x)
-        return (a * (a - 1.0) * j**(a - 2.0) * np.outer(g, g)
-                + a * j**(a - 1.0) * Hj)
 
 
 def index_form(surface: Hypersurface, alpha: float) -> Callable:
@@ -160,6 +131,8 @@ def integrate_flow(hamiltonian, x0, t_end: float, tol: float = 1e-10,
     Reported local error tolerance is ``tol``; the energy drift along the
     returned samples must stay within 10 * tol * max(1, t_end) * scale.
     """
+    import scipy.integrate
+
     x0 = np.asarray(x0, dtype=float)
     J = hamiltonian.J
     h0 = float(hamiltonian.value(x0))
@@ -214,6 +187,8 @@ def integrate_linearized(ham, x0, tau: float, hess: Callable,
     budget of ``integrate_flow``.  Samples with symplecticity defect above
     1e-10 are retracted onto Sp(2n); a defect above ``defect_gate`` raises.
     """
+    import scipy.integrate
+
     n = ham.J.shape[0] // 2
     d = 2 * n
     J = ham.J
@@ -257,31 +232,6 @@ def integrate_linearized(ham, x0, tau: float, hess: Callable,
                           hess_along=hess, x_of_t=x_of_t)
 
 
-def floquet_multipliers(path: SymplecticPath, tol: float = 1e-6):
-    """Eigenvalues of the end monodromy in symplectic (lambda, 1/conj) classes."""
-    from .sympl import pair_multipliers
-    vals = np.linalg.eigvals(path.end_monodromy)
-    return pair_multipliers(vals, tol=tol)
-
-
 def path_max_defect(path: SymplecticPath) -> float:
     J = standard_J(path.n)
     return max(symplectic_defect(R, J) for R in path.Rs)
-
-
-def write_trajectory_csv(traj: Trajectory, fname):
-    with open(fname, "w", newline="") as f:
-        w = csv.writer(f)
-        d = traj.xs.shape[1]
-        w.writerow(["t"] + [f"x_{i+1}" for i in range(d)])
-        for t, x in zip(traj.ts, traj.xs):
-            w.writerow([repr(float(t))] + [repr(float(v)) for v in x])
-
-
-def write_path_csv(path: SymplecticPath, fname):
-    with open(fname, "w", newline="") as f:
-        w = csv.writer(f)
-        d = 2 * path.n
-        w.writerow(["t"] + [f"R_{i+1}{j+1}" for i in range(d) for j in range(d)])
-        for t, R in zip(path.ts, path.Rs):
-            w.writerow([repr(float(t))] + [repr(float(v)) for v in R.ravel()])

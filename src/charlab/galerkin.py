@@ -400,33 +400,6 @@ def critical_value_formula(spec: HamiltonianSpec, rho: float) -> float:
             - spec.a * spec.aux.phi(rho) * T)
 
 
-def galerkin_critical_points(sys: GalerkinSystem, seeds, *, tol: float = 1e-10,
-                             zero_tol: float = 1e-8) -> list:
-    """Newton search from the given seed vectors; constant (zero) solutions
-    are filtered out, duplicates folded."""
-    found = []
-    for k, s in enumerate(seeds):
-        vec = sys.newton_critical(np.asarray(s, dtype=float), tol=tol)
-        metric_norm = float(np.linalg.norm(vec))
-        if metric_norm < zero_tol:
-            continue
-        orb, info = orbit_from_critical(sys, vec, orbit_id=f"g{k+1}")
-        found.append((vec, orb, info))
-    from .orbits import trajectory_distance
-    out = []
-    for vec, orb, info in found:
-        dup = False
-        for _, other, _ in out:
-            if (abs(orb.prime_period - other.prime_period)
-                    < 1e-6 * max(1.0, other.prime_period)
-                    and trajectory_distance(orb, other) < 1e-4):
-                dup = True
-                break
-        if not dup:
-            out.append((vec, orb, info))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # K-shift audit
 

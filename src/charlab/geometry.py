@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from .errors import ConstructionFailure, InvalidArgument, NumericFailure
 from .sympl import standard_J
@@ -337,6 +336,7 @@ class AuxFunction:
             raise InvalidArgument(
                 f"slope ratio {s} outside attainable range ({lf}, 1)")
         if s >= 1.0 - self.theta:      # germ
+            import scipy.optimize
             return float(scipy.optimize.brentq(
                 lambda t: self.slope_ratio(t) - s, 1e-14, t1, xtol=1e-15))
         if s >= self.theta:            # band, closed form
@@ -389,6 +389,7 @@ def make_aux_function(theta: float, alpha: float) -> AuxFunction:
             f"germ integral target {target:.6g} not bracketed "
             f"(range [{germ_integral(lo_v):.6g}, {germ_integral(hi_v):.6g}]); "
             f"move alpha closer to 2 or enlarge theta")
+    import scipy.optimize
     v = scipy.optimize.brentq(lambda vv: germ_integral(vv) - target,
                               lo_v, hi_v, xtol=1e-15, rtol=8.9e-16)
     ratio_pieces = build_ratio(v)
@@ -482,6 +483,7 @@ class HamiltonianSpec:
             hi *= 2.0
             if hi > 1e30:
                 raise InvalidArgument("cutoff_A unreachable")
+        import scipy.optimize
         self.r_A = float(scipy.optimize.brentq(
             lambda t: self.aux.phi(t) - level, 1e-6, hi, xtol=1e-14))
         self.r_B = 2.0 * self.r_A

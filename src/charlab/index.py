@@ -9,7 +9,9 @@ Every iterate follows from one period's data by Bott's iteration formula
 i_omega is locally constant off the monodromy's unit eigenvalues, so it is
 read from a table of the arcs between eigenvalue angles; a root of unity
 within ``angle_tol`` of an eigenvalue angle takes the index at that
-eigenvalue.  The table needs one scan, on the first arc after 1: going
+eigenvalue.  ``IterationData`` holds this one-period data (and writes it
+to and reads it from JSON); a range of iterates is one numpy pass over all
+their roots.  The table needs one scan, on the first arc after 1: going
 counter-clockwise across a simple eigenvalue exp(i theta), theta in
 (0, pi), whose Krein form kappa(v) = Re(-i v* J v) is definite, i_omega
 changes by -sign kappa(v), and i_omega = i_conj(omega) for a real path
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (ConsistencyFailure, InvalidArgument, InvariantViolation,
                      NumericFailure)
@@ -73,30 +74,82 @@ class IterationData:
     on_point: dict
     angle_tol: float
 
-    def omega_pair(self, angle: float):
-        """(i_omega, dim_C ker(M - omega I)) at omega = exp(i*angle)."""
-        a = min(self.eigen_angles, key=lambda a: _circle_dist(a, angle))
-        if _circle_dist(a, angle) <= self.angle_tol:
-            if a not in self.on_point:
+    def omega_pairs(self, angles):
+        """(i_omega, dim_C ker(M - omega I)) at omega = exp(i*angle) for
+        every angle, as two integer arrays.
+
+        An angle within ``angle_tol`` of its nearest eigen-angle (the first
+        one on a tie) takes the value at that eigen-angle, any other angle
+        the value on the open arc that contains it.
+        """
+        angles = np.asarray(angles, dtype=float)[:, None]
+        eig = np.asarray(self.eigen_angles, dtype=float)
+        gap = np.abs(eig - angles)
+        dist = np.minimum(gap, _TWO_PI - gap)
+        near = np.argmin(dist, axis=1)
+        on = np.take_along_axis(dist, near[:, None], 1)[:, 0] <= self.angle_tol
+        known = np.array([a in self.on_point for a in self.eigen_angles])
+        on_i, on_nu = np.array([self.on_point.get(a, (0, 0))
+                                for a in self.eigen_angles]).T
+        lo, hi, arc_i = (np.array(c) for c in zip(*self.arc_table))
+        inside = (lo < angles) & (angles < hi)
+        fail = np.flatnonzero(np.where(on, ~known[near], ~inside.any(axis=1)))
+        if fail.size:
+            j = fail[0]
+            info = dict(angle=float(angles[j, 0]),
+                        eigen_angle=float(eig[near[j]]))
+            if on[j]:
                 raise NumericFailure(
                     "a root of unity lands on an eigenvalue angle that is "
-                    "not a recognised rational turn",
-                    angle=float(angle), eigen_angle=float(a))
-            return self.on_point[a]
-        return next((i_om, 0) for lo, hi, i_om in self.arc_table
-                    if lo < angle < hi)
+                    "not a recognised rational turn", **info)
+            raise NumericFailure("a root of unity lies on no arc of the "
+                                 "index table", **info)
+        arc = np.argmax(inside, axis=1)
+        return (np.where(on, on_i[near], arc_i[arc]),
+                np.where(on, on_nu[near], 0))
 
-    def index_pair(self, m: int):
-        """(index, nullity) of the m-th iterate, in the surface normalisation:
-        i(y^m) + n and nu(y^m) summed over the m-th roots of unity."""
-        if m < 1:
+    def iterate_table(self, m_from: int, m_upto: int):
+        """(index, nullity) of the iterates m_from..m_upto as two integer
+        arrays, in the surface normalisation: i(y^m) + n and nu(y^m) are
+        the sums over the m-th roots of unity exp(2 pi i k/m)."""
+        if m_from < 1:
             raise InvalidArgument("iterate must be >= 1")
-        pairs = [self.omega_pair(_TWO_PI * k / m) for k in range(m)]
-        total, nu = sum(p[0] for p in pairs), sum(p[1] for p in pairs)
-        if nu < 1 or nu > 2 * self.dim_n - 1:
-            raise InvariantViolation(f"nullity {nu} outside "
-                                     f"[1, {2 * self.dim_n - 1}] at iterate {m}")
-        return total - self.dim_n, nu
+        index, nullity = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        while m_from <= m_upto:
+            # at most about 2^18 roots per pass bounds the arrays' memory
+            last = min(m_upto, max(m_from, math.isqrt(m_from**2 + 2**19)))
+            ms = np.arange(m_from, last + 1)
+            starts = np.cumsum(ms) - ms
+            m_of = np.repeat(ms, ms)
+            k = np.arange(len(m_of)) - np.repeat(starts, ms)
+            i_om, nu_om = self.omega_pairs(_TWO_PI * k / m_of)
+            nu = np.add.reduceat(nu_om, starts)
+            bad = np.flatnonzero((nu < 1) | (nu > 2 * self.dim_n - 1))
+            if bad.size:
+                raise InvariantViolation(
+                    f"nullity {nu[bad[0]]} outside [1, {2 * self.dim_n - 1}]"
+                    f" at iterate {ms[bad[0]]}")
+            index.append(np.add.reduceat(i_om, starts) - self.dim_n)
+            nullity.append(nu)
+            m_from = last + 1
+        return np.concatenate(index), np.concatenate(nullity)
+
+    def to_json(self) -> dict:
+        """The data as JSON values; floats round-trip exactly."""
+        return {"eigen_angles": self.eigen_angles, "arc_table": self.arc_table,
+                "on_point": [[a, *v] for a, v in self.on_point.items()],
+                "angle_tol": self.angle_tol}
+
+    @classmethod
+    def from_json(cls, block: dict, dim_n: int) -> "IterationData":
+        """Inverse of ``to_json``."""
+        return cls(dim_n=dim_n,
+                   eigen_angles=[float(a) for a in block["eigen_angles"]],
+                   arc_table=[(float(lo), float(hi), int(i))
+                              for lo, hi, i in block["arc_table"]],
+                   on_point={float(a): (int(i), int(nu))
+                             for a, i, nu in block["on_point"]},
+                   angle_tol=float(block["angle_tol"]))
 
 
 @dataclass
@@ -212,6 +265,8 @@ class IndexComputer:
 
     # -- one-period scans ------------------------------------------------------
     def _refine_minimum(self, f, a: float, b: float) -> float:
+        import scipy.optimize
+
         # normalised bracket coordinate: the bounded minimiser's sqrt(eps)|x|
         # term would otherwise cap accuracy at large absolute times
         res = scipy.optimize.minimize_scalar(
@@ -227,6 +282,8 @@ class IndexComputer:
         plus, for real omega, determinant sign changes.  Each refined
         candidate is classified by its numerical kernel.
         """
+        import scipy.optimize
+
         real = abs(omega.imag) < 1e-15
         if real:
             omega = omega.real      # R(t) M^k - omega I stays real
@@ -332,11 +389,6 @@ class IndexComputer:
             raise NumericFailure("omega parameter hits the monodromy spectrum",
                                  angle=angle)
         return i_om
-
-
-def maslov_index(path: SymplecticPath, m: int, **kw):
-    """Index and nullity of the m-fold iterate of the path."""
-    return IndexComputer(path, **kw).index_pair(m)
 
 
 def unit_spectrum_angles(eigvals, *, circle_tol: float = 1e-7,
@@ -484,9 +536,19 @@ def compute_orbit_index_data(orbit_id: str, comp: IndexComputer, *,
             on_point[a] = comp.omega_pair(_TWO_PI * float(turn))
     it = IterationData(dim_n=n, eigen_angles=angles, arc_table=arc_table,
                        on_point=on_point, angle_tol=angle_tol)
+    return index_data_from_iteration(orbit_id, it, m_max=m_max, q_max=q_max)
+
+
+def index_data_from_iteration(orbit_id: str, it: IterationData, *,
+                              m_max: int = 20,
+                              q_max: int = 64) -> OrbitIndexData:
+    """Records for m = 1..max(m_max, 2n + 2), mean index and minimal period
+    of an orbit from its iteration data alone: no path, no scan."""
+    n = it.dim_n
     records = _records(orbit_id, it, 1, max(m_max, 2 * n + 2))
-    ihat, frac, bar, slope = mean_index(arc_table, records, n, q_max=q_max)
-    K_y = minimal_period_K(angles, angle_tol=angle_tol, q_max=q_max)
+    ihat, frac, bar, slope = mean_index(it.arc_table, records, n, q_max=q_max)
+    K_y = minimal_period_K(it.eigen_angles, angle_tol=it.angle_tol,
+                           q_max=q_max)
     return OrbitIndexData(orbit_id=orbit_id, dim_n=n, records=records,
                           mean_index=ihat, mean_index_fraction=frac,
                           mean_index_bar=bar, slope_estimate=slope,
@@ -494,8 +556,9 @@ def compute_orbit_index_data(orbit_id: str, comp: IndexComputer, *,
 
 
 def _records(orbit_id: str, it: IterationData, m_from: int, m_upto: int):
-    return [IndexRecord(orbit_id, m, *it.index_pair(m))
-            for m in range(m_from, m_upto + 1)]
+    index, nullity = it.iterate_table(m_from, m_upto)
+    return [IndexRecord(orbit_id, m, i, nu) for m, i, nu in
+            zip(range(m_from, m_upto + 1), index.tolist(), nullity.tolist())]
 
 
 def extend_records(data: OrbitIndexData, m_upto: int):

