@@ -279,6 +279,19 @@ def _check_k_periodic(d):
                 f"orbit {d.orbit_id}: index parity not K-periodic at p={p}")
 
 
+def _index_summary(d) -> dict:
+    """The fields of an orbit's index report derived from its records."""
+    frac = d.mean_index_fraction
+    return {
+        "mean_index": d.mean_index,
+        "mean_index_exact": (f"{frac.numerator}/{frac.denominator}"
+                             if frac is not None else None),
+        "mean_index_bar": d.mean_index_bar,
+        "slope_estimate": d.slope_estimate,
+        "K_of_y": d.K_of_y,
+    }
+
+
 def compute_index_stage(cfg, surface, orbits) -> tuple:
     """Index data per orbit and the index report, without writing it."""
     paths = _orbit_paths(surface, orbits, cfg)
@@ -292,13 +305,7 @@ def compute_index_stage(cfg, surface, orbits) -> tuple:
                         for r in d.records],
             "iteration": {**d.iteration.to_json(),
                           "prime_period": orb.prime_period},
-            "mean_index": d.mean_index,
-            "mean_index_exact": (f"{d.mean_index_fraction.numerator}/"
-                                 f"{d.mean_index_fraction.denominator}"
-                                 if d.mean_index_fraction is not None else None),
-            "mean_index_bar": d.mean_index_bar,
-            "slope_estimate": d.slope_estimate,
-            "K_of_y": d.K_of_y,
+            **_index_summary(d),
             "symplecticity_defect": paths[orb.orbit_id].defect,
             "method": d.method,
         }
@@ -407,8 +414,8 @@ def run(cfg: RunConfig) -> int:
 def stage_index_from_files(cfg, surface, orbits):
     """Index data rebuilt from the iteration blocks of the stored report,
     which must name the registry's orbits and prime periods and whose
-    records, mean index and K(y) the rebuilt data must reproduce; nothing
-    is integrated or scanned, and the report is left untouched."""
+    records, mean index fields and K(y) the rebuilt data must reproduce;
+    nothing is integrated or scanned, and the report is left untouched."""
     report_path = cfg.out_dir / "index_report.json"
     if not report_path.exists():
         raise InvalidArgument(
@@ -456,8 +463,7 @@ def stage_index_from_files(cfg, surface, orbits):
                 raise stale("records", f"{row!r} stored, (i, nu) = "
                             f"({r.index_i}, {r.nullity_nu}) at iterate "
                             f"{r.iterate_m} rebuilt from the iteration block")
-        for key, value in (("mean_index", d.mean_index),
-                           ("K_of_y", d.K_of_y)):
+        for key, value in _index_summary(d).items():
             if block.get(key) != value:
                 raise stale(key, f"{block.get(key)!r} stored, {value!r} "
                                  f"rebuilt from the iteration block")

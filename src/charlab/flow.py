@@ -1,6 +1,8 @@
 """Hamiltonian flow integration and the linearized symplectic path.
 
-Vector fields are ``xdot = J grad H(x)``.  Besides the full modified
+Vector fields are ``xdot = J grad H(x)``, integrated by the DOP853 port of
+``charlab.ode`` with dense output; a step size that falls below the float
+spacing raises ``NumericFailure``.  Besides the full modified
 Hamiltonian this module ships the canonical field on a surface,
 ``GaugeField``: H = j itself; on the surface ``grad j(y) . y = 1``, so its
 trajectories carry the canonical time normalisation used for periods.
@@ -21,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NumericFailure
 from .geometry import Hypersurface
+from .ode import dop853
 from .sympl import project_symplectic, standard_J, symplectic_defect
 
 
@@ -78,9 +81,8 @@ class Trajectory:
 class SymplecticPath:
     """Fundamental solution R(t) of zdot = J S(x(t)) z over one orbit period.
 
-    ``samples``/``ts`` hold R on a uniform grid, ``end_monodromy`` the value
-    at the period.  ``at(t)`` evaluates anywhere in [0, m*period] by the
-    iteration rule R(t + k*period) = R(t) R(period)^k.
+    ``Rs``/``ts`` hold R on a uniform grid, ``end_monodromy`` the value at
+    the period; R(t + k*period) = R(t) R(period)^k extends it to iterates.
     """
 
     ts: np.ndarray
@@ -111,14 +113,6 @@ class SymplecticPath:
         i = int(np.clip(np.searchsorted(self.ts, t), 0, len(self.ts) - 1))
         return self.Rs[i]
 
-    def at(self, t: float) -> np.ndarray:
-        k, s = divmod(float(t), self.period)
-        k = int(k)
-        if s < 0:
-            s += self.period
-            k -= 1
-        return self.base_at(s) @ self.monodromy_power(k)
-
     def S_at(self, t: float) -> np.ndarray:
         s = float(t) % self.period
         return self.hess_along(self.x_of_t(s))
@@ -131,8 +125,6 @@ def integrate_flow(hamiltonian, x0, t_end: float, tol: float = 1e-10,
     Reported local error tolerance is ``tol``; the energy drift along the
     returned samples must stay within 10 * tol * max(1, t_end) * scale.
     """
-    import scipy.integrate
-
     x0 = np.asarray(x0, dtype=float)
     J = hamiltonian.J
     h0 = float(hamiltonian.value(x0))
@@ -146,11 +138,7 @@ def integrate_flow(hamiltonian, x0, t_end: float, tol: float = 1e-10,
 
     scale = max(1.0, float(np.linalg.norm(x0)))
     rtol = max(1e-2 * tol, 3e-14)   # local control well under the drift budget
-    res = scipy.integrate.solve_ivp(
-        rhs, (0.0, t_end), x0, method="DOP853", rtol=rtol,
-        atol=rtol * scale, dense_output=True)
-    if not res.success:
-        raise NumericFailure(f"flow integration failed: {res.message}")
+    res = dop853(rhs, (0.0, t_end), x0, rtol, rtol * scale, dense_output=True)
     ts = np.linspace(0.0, t_end, n_samples)
     xs = res.sol(ts).T
     if max_gauge is not None:
@@ -187,8 +175,6 @@ def integrate_linearized(ham, x0, tau: float, hess: Callable,
     budget of ``integrate_flow``.  Samples with symplecticity defect above
     1e-10 are retracted onto Sp(2n); a defect above ``defect_gate`` raises.
     """
-    import scipy.integrate
-
     n = ham.J.shape[0] // 2
     d = 2 * n
     J = ham.J
@@ -204,11 +190,8 @@ def integrate_linearized(ham, x0, tau: float, hess: Callable,
 
     y0 = np.concatenate([x0, np.eye(d).ravel()])
     rtol = max(1e-2 * tol, 3e-14)
-    res = scipy.integrate.solve_ivp(
-        rhs, (0.0, tau), y0, method="DOP853", rtol=rtol,
-        atol=rtol * max(1.0, float(np.linalg.norm(x0))), dense_output=True)
-    if not res.success:
-        raise NumericFailure(f"linearized integration failed: {res.message}")
+    res = dop853(rhs, (0.0, tau), y0, rtol,
+                 rtol * max(1.0, float(np.linalg.norm(x0))), dense_output=True)
     ts = np.linspace(0.0, tau, n_samples)
     ys = res.sol(ts)
     _energy_drift(ham, ys[:d].T, float(ham.value(x0)), tau, tol)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (InvalidArgument, NumericFailure, SearchFailure)
+from .errors import InvalidArgument, SearchFailure
 from .flow import GaugeField, Trajectory
 from .geometry import HamiltonianSpec, Hypersurface, spec_for_period
 from .index import dimension_shift
@@ -77,10 +77,6 @@ class GalerkinSystem:
     @property
     def dim_vec(self) -> int:
         return 2 * self.n * self.n_active
-
-    @property
-    def G_dim(self) -> int:
-        return 2 * self.n * int(np.sum(self.in_G))
 
     def vec_mask_G(self) -> np.ndarray:
         m = np.repeat(self.in_G, self.n)
@@ -171,35 +167,6 @@ class GalerkinSystem:
         return Hmat
 
     # ---- inner problem and the reduced functional ---------------------------
-    def inner_solve(self, vec_g: np.ndarray, h0: np.ndarray | None = None,
-                    tol: float = 1e-10, max_iter: int = 60) -> np.ndarray:
-        """Minimise Psi(g + h) over the non-G modes (strictly convex)."""
-        maskH = ~self.vec_mask_G()
-        idxH = np.nonzero(maskH)[0]
-        h = np.zeros(self.dim_vec) if h0 is None else h0.copy()
-        h[~maskH] = 0.0
-        metric = self.spec.period_T / self.n_grid**2
-        for _ in range(max_iter):
-            vec = vec_g + h
-            g_full = self.gradient(vec)
-            gH = g_full[idxH]
-            resid = float(np.linalg.norm(gH)) / np.sqrt(metric)
-            if resid <= tol:
-                return h
-            Hmat = self.hessian(vec)[np.ix_(idxH, idxH)]
-            step = np.linalg.solve(Hmat, gH)
-            val0 = self.value(vec)
-            lam = 1.0
-            for _bt in range(30):
-                h_try = h.copy()
-                h_try[idxH] -= lam * step
-                if self.value(vec_g + h_try) < val0 + 1e-12 * abs(val0):
-                    break
-                lam *= 0.5
-            h[idxH] -= lam * step
-        raise NumericFailure("inner convex solve did not reach tolerance",
-                             residual=resid)
-
     # ---- critical points -----------------------------------------------------
     def newton_critical(self, vec0: np.ndarray, tol: float = 1e-10,
                         max_iter: int = 60) -> np.ndarray:

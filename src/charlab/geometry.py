@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstructionFailure, InvalidArgument, NumericFailure
+from .ode import brentq
 from .sympl import standard_J
 
 _TWO_PI = 2.0 * np.pi
@@ -56,21 +57,6 @@ class Hypersurface:
         """Radial projection of ``direction`` onto the surface."""
         d = np.asarray(direction, dtype=float)
         return d / self.gauge(d)
-
-    def to_spec(self) -> dict:
-        if self.kind == "ellipsoid":
-            return {"kind": "ellipsoid", "radii": list(self.meta["radii"])}
-        if self.kind == "perturbed_ellipsoid":
-            return {
-                "kind": "perturbed_ellipsoid",
-                "radii": list(self.meta["radii"]),
-                "perturbation": {
-                    "type": "quartic",
-                    "coeffs": list(self.meta["coeffs"]),
-                    "magnitude": self.meta["magnitude"],
-                },
-            }
-        raise InvalidArgument(f"cannot serialise surface of kind {self.kind!r}")
 
 
 def make_ellipsoid(radii) -> Hypersurface:
@@ -336,9 +322,8 @@ class AuxFunction:
             raise InvalidArgument(
                 f"slope ratio {s} outside attainable range ({lf}, 1)")
         if s >= 1.0 - self.theta:      # germ
-            import scipy.optimize
-            return float(scipy.optimize.brentq(
-                lambda t: self.slope_ratio(t) - s, 1e-14, t1, xtol=1e-15))
+            return brentq(lambda t: self.slope_ratio(t) - s, 1e-14, t1,
+                          xtol=1e-15)
         if s >= self.theta:            # band, closed form
             return float((s / (1.0 - self.theta))**(1.0 / (self.alpha - 2.0)))
         return float(t2 * ((self.theta - lf) / (s - lf))**(1.0 / self.tail_kappa))
@@ -389,9 +374,8 @@ def make_aux_function(theta: float, alpha: float) -> AuxFunction:
             f"germ integral target {target:.6g} not bracketed "
             f"(range [{germ_integral(lo_v):.6g}, {germ_integral(hi_v):.6g}]); "
             f"move alpha closer to 2 or enlarge theta")
-    import scipy.optimize
-    v = scipy.optimize.brentq(lambda vv: germ_integral(vv) - target,
-                              lo_v, hi_v, xtol=1e-15, rtol=8.9e-16)
+    v = brentq(lambda vv: germ_integral(vv) - target, lo_v, hi_v,
+               xtol=1e-15, rtol=8.9e-16)
     ratio_pieces = build_ratio(v)
 
     # phi on the germ: piecewise antiderivative of t*psi(t), continuous from 0
@@ -483,9 +467,8 @@ class HamiltonianSpec:
             hi *= 2.0
             if hi > 1e30:
                 raise InvalidArgument("cutoff_A unreachable")
-        import scipy.optimize
-        self.r_A = float(scipy.optimize.brentq(
-            lambda t: self.aux.phi(t) - level, 1e-6, hi, xtol=1e-14))
+        self.r_A = brentq(lambda t: self.aux.phi(t) - level, 1e-6, hi,
+                          xtol=1e-14)
         self.r_B = 2.0 * self.r_A
         self.J = standard_J(self.surface.dim_n)
         self._run_construction_checks()
@@ -508,10 +491,6 @@ class HamiltonianSpec:
         K = _off_resonance(max(1.0, -1.5 * lam_min + 1.0), period_T)
         return cls(surface=surface, aux=aux, a=a, period_T=period_T, K=K,
                    eps_a=eps_a, cutoff_A=cutoff_A, rng_seed=rng_seed)
-
-    # -- the unmodified a*phi(j) -------------------------------------------
-    def htilde(self, x):
-        return self.a * self.aux.phi(self.surface.gauge(x))
 
     # -- H_a with the outer modification -------------------------------------
     def value(self, x):
@@ -643,12 +622,6 @@ class HamiltonianSpec:
             gn = np.linalg.norm(self.grad(shell), axis=1)
             if np.min(gn) < 1e-10:
                 raise ConstructionFailure("gradient vanishes in the blend shell")
-
-
-def fenchel_dual(spec: HamiltonianSpec, y):
-    """Dual value and dual gradient (the maximiser) at a single point."""
-    vals, X = spec.fenchel_batch(np.asarray(y, dtype=float)[None, :])
-    return float(vals[0]), X[0]
 
 
 def _off_resonance(K: float, period_T: float, gap: float = 1e-2) -> float:

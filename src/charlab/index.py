@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (ConsistencyFailure, InvalidArgument, InvariantViolation,
                      NumericFailure)
 from .flow import SymplecticPath
+from .ode import brentq, minimize_bounded
 from .sympl import standard_J
 
 _TWO_PI = 2.0 * np.pi
@@ -265,14 +266,11 @@ class IndexComputer:
 
     # -- one-period scans ------------------------------------------------------
     def _refine_minimum(self, f, a: float, b: float) -> float:
-        import scipy.optimize
-
         # normalised bracket coordinate: the bounded minimiser's sqrt(eps)|x|
         # term would otherwise cap accuracy at large absolute times
-        res = scipy.optimize.minimize_scalar(
-            lambda u: f(a + u * (b - a)), bounds=(0.0, 1.0), method="bounded",
-            options={"xatol": 1e-11})
-        return float(a + res.x * (b - a))
+        u, _ = minimize_bounded(lambda u: f(a + u * (b - a)), 0.0, 1.0,
+                                xatol=1e-11)
+        return float(a + u * (b - a))
 
     def _scan_segment(self, k: int, omega: complex):
         """Crossings strictly inside (k tau, (k+1) tau); list of (t, sig, negs).
@@ -282,8 +280,6 @@ class IndexComputer:
         plus, for real omega, determinant sign changes.  Each refined
         candidate is classified by its numerical kernel.
         """
-        import scipy.optimize
-
         real = abs(omega.imag) < 1e-15
         if real:
             omega = omega.real      # R(t) M^k - omega I stays real
@@ -306,10 +302,9 @@ class IndexComputer:
             dets = np.linalg.det(A)
             flips = np.nonzero(dets[:-1] * dets[1:] < 0)[0]
             for i in flips:
-                t = scipy.optimize.brentq(
+                cands.append(brentq(
                     lambda t: float(np.linalg.det(fmat(t))),
-                    ts[i], ts[i + 1], xtol=1e-13 * max(1.0, self.tau))
-                cands.append(float(t))
+                    ts[i], ts[i + 1], xtol=1e-13 * max(1.0, self.tau)))
         mins = np.nonzero((smin[1:-1] < smin[:-2]) & (smin[1:-1] <= smin[2:])
                           & (smin[1:-1] < ceiling))[0] + 1
         for i in mins:

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidArgument, InvariantViolation, SearchFailure
+from .errors import (ConsistencyFailure, InvalidArgument, InvariantViolation,
+                     NumericFailure, SearchFailure)
 from .flow import GaugeField, Trajectory, integrate_flow
 from .geometry import Hypersurface
+from .ode import dop853, minimize_bounded
 from .sympl import standard_J
 
 
@@ -66,8 +68,6 @@ def trajectory_distance(orbit_a: ClosedCharacteristic,
     the best bracket, so coincident loops at a generic relative phase still
     align to interpolation accuracy.
     """
-    import scipy.optimize
-
     ta, xa = orbit_a.samples()
     tb, xb = orbit_b.samples()
     m = min(len(ta), len(tb), 256)
@@ -91,10 +91,8 @@ def trajectory_distance(orbit_a: ClosedCharacteristic,
     vals = [dist(s) for s in grid]
     i = int(np.argmin(vals))
     h = 1.0 / n_phase
-    res = scipy.optimize.minimize_scalar(
-        dist, bounds=(grid[i] - h, grid[i] + h), method="bounded",
-        options={"xatol": 1e-12})
-    return min(vals[i], float(res.fun))
+    _, best = minimize_bounded(dist, grid[i] - h, grid[i] + h, xatol=1e-12)
+    return min(vals[i], float(best))
 
 
 def ellipsoid_catalog(surface, *, n_samples: int = 257,
@@ -148,7 +146,6 @@ def _closure_map(surface: Hypersurface, x0, tau, tol):
     gf = GaugeField(surface)
     J = gf.J
     d = surface.dim
-    import scipy.integrate
 
     def rhs(t, y):
         x = y[:d]
@@ -157,10 +154,10 @@ def _closure_map(surface: Hypersurface, x0, tau, tol):
                                (J @ surface.gauge_hess(x) @ V).ravel()])
 
     y0 = np.concatenate([x0, np.eye(d).ravel()])
-    res = scipy.integrate.solve_ivp(rhs, (0.0, tau), y0, method="DOP853",
-                                    rtol=tol, atol=tol)
-    if not res.success:
-        raise SearchFailure(f"variational integration failed: {res.message}")
+    try:
+        res = dop853(rhs, (0.0, tau), y0, tol, tol)
+    except NumericFailure as e:
+        raise SearchFailure(f"variational integration failed: {e}") from e
     xT = res.y[:d, -1]
     V = res.y[d:, -1].reshape(d, d)
     return xT, V, J @ surface.gauge_grad(xT)
@@ -304,18 +301,31 @@ def write_registry(orbits: list, fname, extra: dict | None = None):
 
 
 def load_registry(fname, surface: Hypersurface) -> list:
-    with open(fname) as f:
-        payload = json.load(f)
+    """The orbits of a registry file; an unreadable or malformed file
+    raises ``ConsistencyFailure`` naming it."""
     gf = GaugeField(surface)
     out = []
-    for rec in payload["orbits"]:
-        arr = np.asarray(rec["samples"], dtype=float)
-        traj = Trajectory(ts=arr[:, 0], xs=arr[:, 1:],
-                          period_tau=rec["prime_period"], energy_level=1.0,
-                          closure_residual=float(np.linalg.norm(arr[-1, 1:] - arr[0, 1:])),
-                          energy_drift=0.0, hamiltonian=gf)
-        out.append(ClosedCharacteristic(
-            orbit_id=rec["id"], prime_period=rec["prime_period"],
-            trajectory=traj, provenance=rec["provenance"], rho=rec.get("rho"),
-            critical_value=rec.get("critical_value")))
+    try:
+        with open(fname) as f:
+            payload = json.load(f)
+        for rec in payload["orbits"]:
+            period = rec["prime_period"]
+            if isinstance(period, bool) or not isinstance(period, (int, float)):
+                raise TypeError(f"prime_period {period!r} is not a number")
+            arr = np.asarray(rec["samples"], dtype=float)
+            if arr.ndim != 2 or arr.shape[1] != surface.dim + 1:
+                raise ValueError(f"samples of shape {arr.shape}, expected "
+                                 f"(n, {surface.dim + 1})")
+            closure = float(np.linalg.norm(arr[-1, 1:] - arr[0, 1:]))
+            traj = Trajectory(ts=arr[:, 0], xs=arr[:, 1:],
+                              period_tau=period, energy_level=1.0,
+                              closure_residual=closure, energy_drift=0.0,
+                              hamiltonian=gf)
+            out.append(ClosedCharacteristic(
+                orbit_id=rec["id"], prime_period=period,
+                trajectory=traj, provenance=rec["provenance"],
+                rho=rec.get("rho"), critical_value=rec.get("critical_value")))
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise ConsistencyFailure(f"orbit registry {fname} unreadable "
+                                 f"({e!r}); rerun the orbits stage") from e
     return out

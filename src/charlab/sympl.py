@@ -27,16 +27,29 @@ def project_symplectic(R: np.ndarray, J: np.ndarray, tol: float = 1e-13,
     Iterates R <- R C^{-1/2} with C = J^{-1} R^T J R, which contracts the
     defect quadratically for R close to the group.
     """
-    import scipy.linalg
-
     out = np.array(R, dtype=float)
     for _ in range(max_iter):
         if symplectic_defect(out, J) <= tol:
             return out
         C = -J @ out.T @ J @ out  # J^{-1} = -J
-        Chalf = scipy.linalg.sqrtm(C)
-        out = np.real(np.linalg.solve(Chalf.T, out.T).T)
+        out = out @ _inverse_sqrt_near_identity(C)
     if symplectic_defect(out, J) > 1e3 * tol:
         raise NumericFailure("symplectic projection did not converge",
                              defect=symplectic_defect(out, J))
     return out
+
+
+def _inverse_sqrt_near_identity(C: np.ndarray,
+                                max_iter: int = 20) -> np.ndarray:
+    """C^{-1/2} (principal root) of a matrix near I by the Denman-Beavers
+    iteration Y <- (Y + Z^{-1})/2, Z <- (Z + Y^{-1})/2 from Y = C, Z = I,
+    which converges quadratically to (C^{1/2}, C^{-1/2})."""
+    Y, Z = C, np.eye(len(C))
+    for _ in range(max_iter):
+        Y, Z_next = 0.5 * (Y + np.linalg.inv(Z)), 0.5 * (Z + np.linalg.inv(Y))
+        if np.linalg.norm(Z_next - Z) <= 1e-14 * np.linalg.norm(Z_next):
+            return Z_next
+        Z = Z_next
+    raise NumericFailure("matrix square root did not converge",
+                         distance_from_identity=float(
+                             np.linalg.norm(C - np.eye(len(C)))))

@@ -258,15 +258,50 @@ def test_resume_neither_integrates_nor_scans(tmp_path, monkeypatch):
     assert {f: (out / f).read_bytes() for f in RESUMED} == full
 
 
-def test_import_loads_no_scipy():
+BLOCK_SCIPY = """
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked: " + name)
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def run_without_scipy(code):
     import charlab
     src = str(Path(charlab.__file__).resolve().parent.parent)
-    code = ("import sys, charlab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=60,
+    return subprocess.run([sys.executable, "-c", BLOCK_SCIPY + code],
+                          capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": src})
+
+
+def test_import_loads_no_scipy():
+    proc = run_without_scipy(
+        "import charlab.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_run_and_audit_need_no_scipy(tmp_path):
+    # run and audit on the circle, and the geometry and orbits stages on the
+    # perturbed surface (the brentq sites, shooting's variational solve)
+    circle = write_config(tmp_path)
+    perturbed = tmp_path / "perturbed.json"
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "perturbed_2d.json").read_text())
+    perturbed.write_text(json.dumps({**cfg, "out_dir": str(tmp_path / "p")}))
+    proc = run_without_scipy(
+        "from charlab.cli import main\n"
+        f"codes = [main(['run', {str(circle)!r}]),\n"
+        f"         main(['audit', {str(circle)!r}]),\n"
+        f"         main(['run', {str(perturbed)!r}, '--stages',\n"
+        f"               'geometry,orbits'])]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "p" / "orbits.json").exists()
 
 
 def _tamper_records(orbit):
@@ -281,10 +316,25 @@ def _old_report(orbit):
     del orbit["iteration"]
 
 
+def _wrong_exact_mean(orbit):
+    orbit["mean_index_exact"] = "7/3"
+
+
+def _wrong_mean_bar(orbit):
+    orbit["mean_index_bar"] = 99.0
+
+
+def _wrong_slope(orbit):
+    orbit["slope_estimate"] = 99.0
+
+
 @pytest.mark.parametrize("tamper, field", [
     (_tamper_records, "'records'"),
     (_stale_period, "'iteration.prime_period'"),
     (_old_report, "'iteration'"),
+    (_wrong_exact_mean, "'mean_index_exact'"),
+    (_wrong_mean_bar, "'mean_index_bar'"),
+    (_wrong_slope, "'slope_estimate'"),
 ])
 def test_resume_rejects_a_report_it_cannot_trust(tmp_path, capsys, tamper,
                                                  field):
@@ -298,3 +348,28 @@ def test_resume_rejects_a_report_it_cannot_trust(tmp_path, capsys, tamper,
     assert main(["run", str(cfg_path), "--stages", "resonance"]) == 1
     err = capsys.readouterr().err
     assert "orbit y1" in err and field in err, err
+
+
+def _truncated_registry(text):
+    return text[:5]
+
+
+def _period_as_string(text):
+    payload = json.loads(text)
+    payload["orbits"][0]["prime_period"] = "6.283"
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("damage", [_truncated_registry, _period_as_string])
+@pytest.mark.parametrize("argv", [["run", "--stages", "resonance"],
+                                  ["run", "--stages", "index,resonance"],
+                                  ["audit"]])
+def test_malformed_registry_is_named(tmp_path, capsys, argv, damage):
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    registry = tmp_path / "out" / "orbits.json"
+    registry.write_text(damage(registry.read_text()))
+    capsys.readouterr()
+    assert main([argv[0], str(cfg_path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "orbits.json" in err and "Traceback" not in err, err

@@ -9,7 +9,7 @@ from charlab.errors import NumericFailure
 from charlab.flow import (GaugeField, index_form, integrate_flow,
                           integrate_linearized, path_max_defect)
 from charlab.geometry import make_ellipsoid
-from charlab.sympl import standard_J
+from charlab.sympl import standard_J, symplectic_defect
 
 
 class PowerHamiltonian:
@@ -27,6 +27,12 @@ class PowerHamiltonian:
         j = self.surface.gauge(x)
         g = self.surface.gauge_grad(x)
         return self.alpha * j**(self.alpha - 1.0) * g
+
+
+def path_at(path, t):
+    """R(t) anywhere in [0, m*period] by R(t + k*period) = R(t) R(period)^k."""
+    k, s = divmod(float(t), path.period)
+    return path.base_at(s) @ path.monodromy_power(int(k))
 
 
 def pair_multipliers(eigvals, tol=1e-6):
@@ -162,7 +168,7 @@ class TestLinearized:
         path5 = integrate_linearized(GaugeField(surf), x0, 5 * tau, S,
                                      tol=1e-12)
         for m in range(1, 6):
-            stitched = path.at(m * tau)
+            stitched = path_at(path, m * tau)
             direct = path5.sol(m * tau)[4:].reshape(4, 4)
             assert np.max(np.abs(stitched - direct)) <= 1e-6
 
@@ -248,3 +254,34 @@ def test_linearized_energy_drift_gate_raises():
     with pytest.raises(NumericFailure, match="energy drift"):
         integrate_linearized(Leaky(surf), np.array([1.0, 0.0]), 2 * np.pi,
                              index_form(surf, 1.5), tol=1e-12)
+
+
+def project_with_sqrtm(R, J, tol=1e-13, max_iter=8):
+    """The retraction R <- R C^{-1/2}, C = J^{-1} R^T J R, with scipy's
+    principal square root."""
+    import scipy.linalg
+
+    out = np.array(R, dtype=float)
+    for _ in range(max_iter):
+        if symplectic_defect(out, J) <= tol:
+            break
+        C = -J @ out.T @ J @ out
+        out = np.real(np.linalg.solve(scipy.linalg.sqrtm(C).T, out.T).T)
+    return out
+
+
+def test_projection_retracts_an_injected_defect():
+    # a skew part -1e-10 J in the index form grows R by exp(1e-10 t), which
+    # puts a defect of about 1e-9 into the path: every sample is retracted
+    surf = make_ellipsoid([1.0])
+    S = index_form(surf, 1.5)
+    J = standard_J(1)
+    path = integrate_linearized(GaugeField(surf), np.array([1.0, 0.0]),
+                                2 * np.pi, lambda x: S(x) - 1e-10 * J,
+                                tol=1e-12)
+    assert 1e-10 < path.defect < 1e-8
+    assert path_max_defect(path) <= 1e-13
+    assert symplectic_defect(path.end_monodromy, J) <= 1e-13
+    raw = path.sol(path.ts)[2:].T.reshape(-1, 2, 2)
+    for R, got in zip(raw, path.Rs):
+        assert np.max(np.abs(got - project_with_sqrtm(R, J))) <= 1e-12
