@@ -51,8 +51,7 @@ _DEFAULT_MORSE = {"enable": True, "N_list": [50, 100, 200]}
 _BLOCK_KEYS = {"tolerances": _DEFAULT_TOLERANCES, "index": _DEFAULT_INDEX,
                "galerkin": {"enable", *(f.name for f in fields(gk.ReductionOptions))},
                "morse": _DEFAULT_MORSE}
-_CONFIG_KEYS = {"surface", "out_dir", "seed", "stages", "k_tables", "seeds",
-                *_BLOCK_KEYS}
+_CONFIG_KEYS = {"surface", "out_dir", "seed", "stages", "k_tables", *_BLOCK_KEYS}
 
 
 def _number(v):
@@ -81,6 +80,12 @@ _VALUE_KINDS = {
                           lambda v: v is None or _integer(v)),
     "galerkin.enable": ("true or false", _boolean),
     "morse.enable": ("true or false", _boolean),
+    "k_tables": ("a file name or null", lambda v: v is None or isinstance(v, str)),
+    # the fields of each entry of the k_tables file
+    "k_tables.orbit_id": ("a string", lambda v: isinstance(v, str)),
+    "k_tables.m": ("an integer", _integer),
+    "k_tables.k": ("a list of integers",
+                   lambda v: isinstance(v, list) and all(map(_integer, v))),
 }
 
 ALL_STAGES = ("geometry", "orbits", "index", "resonance")
@@ -103,6 +108,41 @@ def _checked_keys(block, known, name: str = "") -> dict:
     return block
 
 
+def _read_json(path: Path, what: str):
+    """The decoded JSON file ``path``; a missing or malformed file is
+    rejected naming ``what`` and the file."""
+    if not path.is_file():
+        raise InvalidArgument(f"{what}: file {path} does not exist")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise InvalidArgument(f"{what}: malformed file {path}: line "
+                              f"{e.lineno} col {e.colno}: {e.msg}")
+
+
+def _load_k_tables(path) -> dict:
+    """orbit id -> {m: type vector} from a ``k_tables`` file, a JSON list of
+    objects with the ``k_tables.*`` fields of ``_VALUE_KINDS``; anything else
+    is rejected naming the file and the field."""
+    if path is None:
+        return {}
+    entries = _read_json(Path(path), "config field k_tables")
+    if not isinstance(entries, list):
+        raise InvalidArgument(f"config field k_tables: file {path} must "
+                              f"hold a JSON list")
+    tables = {}
+    for i, e in enumerate(entries):
+        for key in ("orbit_id", "m", "k"):
+            kind, ok = _VALUE_KINDS[f"k_tables.{key}"]
+            value = e.get(key) if isinstance(e, dict) else None
+            if not ok(value):
+                raise InvalidArgument(
+                    f"config field k_tables: file {path}, entry {i}: field "
+                    f"'{key}' must be {kind}, got {value!r}")
+        tables.setdefault(e["orbit_id"], {})[e["m"]] = e["k"]
+    return tables
+
+
 def _reduction_options(block: dict) -> gk.ReductionOptions:
     """The ``galerkin`` block without ``enable``; a null keeps the default."""
     return gk.ReductionOptions(**{
@@ -121,19 +161,12 @@ class RunConfig:
     galerkin: gk.ReductionOptions = field(default_factory=gk.ReductionOptions)
     galerkin_enable: bool = False
     morse_opts: dict = field(default_factory=lambda: dict(_DEFAULT_MORSE))
-    k_tables_path: str | None = None
-    orbit_seeds: list = field(default_factory=list)
+    k_tables: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, path, overrides=None):
         path = Path(path)
-        if not path.exists():
-            raise InvalidArgument(f"config file {path} does not exist")
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise InvalidArgument(
-                f"malformed config {path}: line {e.lineno} col {e.colno}: {e.msg}")
+        raw = _read_json(path, "config")
         overrides = overrides or {}
         _checked_keys(raw, _CONFIG_KEYS)
         block = {name: _checked_keys(raw.get(name, {}), known, name)
@@ -142,11 +175,7 @@ class RunConfig:
         if surface is None:
             raise InvalidArgument("config missing required field 'surface'")
         if isinstance(surface, str):
-            spec_path = path.parent / surface
-            if not spec_path.exists():
-                raise InvalidArgument(
-                    f"config field surface: file {spec_path} does not exist")
-            surface = json.loads(spec_path.read_text())
+            surface = _read_json(path.parent / surface, "config field surface")
         if not isinstance(surface, dict):
             raise InvalidArgument("config field 'surface' must be an object "
                                   "or a file name")
@@ -156,10 +185,6 @@ class RunConfig:
             if key not in surface:
                 raise InvalidArgument(f"config missing required field "
                                       f"'surface.{key}'")
-        k_tables = raw.get("k_tables")
-        if k_tables is not None and not Path(k_tables).is_file():
-            raise InvalidArgument(
-                f"config field k_tables: file {k_tables} does not exist")
         tol = dict(_DEFAULT_TOLERANCES)
         tol.update(block["tolerances"])
         if overrides.get("tol") is not None:
@@ -171,8 +196,7 @@ class RunConfig:
                      else raw.get("seed", 0)),
             stages=tuple(overrides.get("stages") or raw.get("stages", ALL_STAGES)),
             tolerances=tol,
-            k_tables_path=k_tables,
-            orbit_seeds=raw.get("seeds", []),
+            k_tables=_load_k_tables(raw.get("k_tables")),
             galerkin=_reduction_options(block["galerkin"]),
             galerkin_enable=bool(block["galerkin"].get("enable", False)),
         )
@@ -203,14 +227,6 @@ def _orbit_paths(surface, orbits, cfg):
             for orb in orbits}
 
 
-def _load_k_tables(cfg):
-    if not cfg.k_tables_path:
-        return {}
-    entries = json.loads(Path(cfg.k_tables_path).read_text())
-    tables = {}
-    for e in entries:
-        tables.setdefault(e["orbit_id"], {})[int(e["m"])] = e["k"]
-    return tables
 
 
 def stage_geometry(cfg) -> dict:
@@ -224,8 +240,8 @@ def stage_geometry(cfg) -> dict:
 
 def stage_orbits(cfg, surface) -> list:
     tol = cfg.tolerances
-    orbits = find_orbits(surface, seeds=cfg.orbit_seeds,
-                         tol=tol["closure"] * 1e-2, int_tol=tol["integrator"])
+    orbits = find_orbits(surface, tol=tol["closure"] * 1e-2,
+                         int_tol=tol["integrator"])
     gates = {}
     for orb in orbits:
         gates[orb.orbit_id] = gate_orbit(surface, orb,
@@ -320,13 +336,12 @@ def stage_index(cfg, surface, orbits) -> dict:
 
 
 def stage_resonance(cfg, surface, orbits, index_data) -> tuple:
-    user_tables = _load_k_tables(cfg)
     contributions = []
     tables = {}
     per_orbit = {}
     for orb in orbits:
         d = index_data[orb.orbit_id]
-        table = critical_type_numbers(d, user_tables.get(orb.orbit_id))
+        table = critical_type_numbers(d, cfg.k_tables.get(orb.orbit_id))
         tables[orb.orbit_id] = table
         chis, chi_hat = euler_characteristics(table, d)
         avgs = chi_partial_averages(table, d, 3 * d.K_of_y)

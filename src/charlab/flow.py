@@ -2,15 +2,17 @@
 
 Vector fields are ``xdot = J grad H(x)``, integrated by the DOP853 port of
 ``charlab.ode`` with dense output; a step size that falls below the float
-spacing raises ``NumericFailure``.  Besides the full modified
-Hamiltonian this module ships the canonical field on a surface,
-``GaugeField``: H = j itself; on the surface ``grad j(y) . y = 1``, so its
-trajectories carry the canonical time normalisation used for periods.
+spacing raises ``NumericFailure``, and the energy drift is checked on all
+samples in one evaluation of H.  Besides the full modified Hamiltonian this
+module ships the canonical field on a surface, ``GaugeField``: H = j itself;
+on the surface ``grad j(y) . y = 1``, so its trajectories carry the
+canonical time normalisation used for periods.
 
 For index work the linearization is integrated along the canonical-clock
 trajectory with the effective Hessian ``(alpha-1) g g^T + hess j`` (see
-``index_form``).  This is the linearized flow of j^alpha after rescaling time
-by the constant factor alpha; rescaling changes no crossing count, monodromy,
+``index_form``), each right-hand side call taking g and hess j from one
+gauge jet.  This is the linearized flow of j^alpha after rescaling time by
+the constant factor alpha; rescaling changes no crossing count, monodromy,
 index or nullity.
 """
 
@@ -40,36 +42,40 @@ class GaugeField:
     def grad(self, x):
         return self.surface.gauge_grad(x)
 
-    def hess(self, x):
-        return self.surface.gauge_hess(x)
 
-
-def index_form(surface: Hypersurface, alpha: float) -> Callable:
-    """Effective Hessian for the index path along a canonical-clock orbit.
+@dataclass(frozen=True)
+class IndexForm:
+    """Effective Hessian S(x) = (alpha-1) g g^T + hess j for the index path
+    along a canonical-clock orbit.
 
     Equals hess(j^alpha)/alpha restricted to the surface level; the 1/alpha
     factor is the time rescaling between the j^alpha clock and the canonical
     clock and does not affect signs.
     """
 
-    def S(x):
-        g = surface.gauge_grad(x)
-        return (alpha - 1.0) * np.outer(g, g) + surface.gauge_hess(x)
+    surface: Hypersurface
+    alpha: float
 
-    return S
+    def joint(self, x):
+        """grad j(x) and S(x) from one jet of the gauge."""
+        g, H = self.surface.jet(x)
+        return g, (self.alpha - 1.0) * np.outer(g, g) + H
+
+    def __call__(self, x):
+        return self.joint(x)[1]
+
+
+index_form = IndexForm
 
 
 @dataclass
 class Trajectory:
-    """A solved arc of the flow with uniform samples on [0, period_tau]."""
+    """A solved arc of the flow with uniform samples ``ts`` from 0."""
 
     ts: np.ndarray
     xs: np.ndarray
-    period_tau: float
-    energy_level: float
     closure_residual: float
     energy_drift: float
-    hamiltonian: object = field(repr=False, default=None)
     sol: object = field(repr=False, default=None)
 
     @property
@@ -127,11 +133,10 @@ def integrate_flow(hamiltonian, x0, t_end: float, tol: float = 1e-10,
     """
     x0 = np.asarray(x0, dtype=float)
     J = hamiltonian.J
-    h0 = float(hamiltonian.value(x0))
     if t_end == 0.0:
-        return Trajectory(ts=np.zeros(1), xs=x0[None, :], period_tau=0.0,
-                          energy_level=h0, closure_residual=0.0,
-                          energy_drift=0.0, hamiltonian=hamiltonian)
+        return Trajectory(ts=np.zeros(1), xs=x0[None, :], closure_residual=0.0,
+                          energy_drift=0.0)
+    h0 = float(hamiltonian.value(x0))
 
     def rhs(t, x):
         return J @ hamiltonian.grad(x)
@@ -146,16 +151,16 @@ def integrate_flow(hamiltonian, x0, t_end: float, tol: float = 1e-10,
         if np.any(levels > max_gauge):
             raise DomainError("trajectory escaped the modeled region")
     drift = _energy_drift(hamiltonian, xs, h0, t_end, tol)
-    return Trajectory(ts=ts, xs=xs, period_tau=float(t_end), energy_level=h0,
+    return Trajectory(ts=ts, xs=xs,
                       closure_residual=float(np.linalg.norm(xs[-1] - x0)),
-                      energy_drift=drift, hamiltonian=hamiltonian, sol=res.sol)
+                      energy_drift=drift, sol=res.sol)
 
 
 def _energy_drift(hamiltonian, xs, h0: float, t_end: float,
                   tol: float) -> float:
     """Largest |H(x) - h0| over the samples; raises above the budget
     10 * tol * max(1, t_end) * max(1, |h0|)."""
-    energies = np.array([float(hamiltonian.value(x)) for x in xs])
+    energies = np.asarray(hamiltonian.value(xs), dtype=float)
     drift = float(np.max(np.abs(energies - h0)))
     budget = 10.0 * tol * max(1.0, abs(t_end)) * max(1.0, abs(h0))
     if drift > budget:
@@ -174,19 +179,21 @@ def integrate_linearized(ham, x0, tau: float, hess: Callable,
     that S is evaluated on the true orbit; its energy drift is held to the
     budget of ``integrate_flow``.  Samples with symplecticity defect above
     1e-10 are retracted onto Sp(2n); a defect above ``defect_gate`` raises.
+    An ``index_form`` of the surface of a ``GaugeField`` ``ham`` gives the
+    gradient and S(x) from one gauge jet per RHS call.
     """
     n = ham.J.shape[0] // 2
     d = 2 * n
     J = ham.J
     x0 = np.asarray(x0, dtype=float)
     tau = float(tau)
+    one_jet = (isinstance(ham, GaugeField) and isinstance(hess, IndexForm)
+               and hess.surface is ham.surface)
+    field_at = hess.joint if one_jet else lambda x: (ham.grad(x), hess(x))
 
     def rhs(t, y):
-        x = y[:d]
-        R = y[d:].reshape(d, d)
-        dx = J @ ham.grad(x)
-        dR = J @ hess(x) @ R
-        return np.concatenate([dx, dR.ravel()])
+        g, S = field_at(y[:d])
+        return np.concatenate([J @ g, (J @ S @ y[d:].reshape(d, d)).ravel()])
 
     y0 = np.concatenate([x0, np.eye(d).ravel()])
     rtol = max(1e-2 * tol, 3e-14)
@@ -196,8 +203,8 @@ def integrate_linearized(ham, x0, tau: float, hess: Callable,
     ys = res.sol(ts)
     _energy_drift(ham, ys[:d].T, float(ham.value(x0)), tau, tol)
     Rs = ys[d:].T.reshape(len(ts), d, d)
-    defect = max(symplectic_defect(R, J) for R in Rs[:: max(1, len(ts) // 32)])
-    defect = max(defect, symplectic_defect(Rs[-1], J))
+    defect = float(np.max(symplectic_defect(
+        np.concatenate([Rs[:: max(1, len(ts) // 32)], Rs[-1:]]), J)))
     if defect > defect_gate:
         raise NumericFailure("symplecticity defect too large; refine steps",
                              defect=defect)
@@ -217,4 +224,4 @@ def integrate_linearized(ham, x0, tau: float, hess: Callable,
 
 def path_max_defect(path: SymplecticPath) -> float:
     J = standard_J(path.n)
-    return max(symplectic_defect(R, J) for R in path.Rs)
+    return float(np.max(symplectic_defect(path.Rs, J)))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgument, SearchFailure
-from .flow import GaugeField, Trajectory
+from .flow import Trajectory
 from .geometry import HamiltonianSpec, Hypersurface, spec_for_period
 from .index import dimension_shift
 from .orbits import ClosedCharacteristic
@@ -346,15 +346,12 @@ def orbit_from_critical(sys: GalerkinSystem, vec: np.ndarray, orbit_id: str,
     phases = np.exp(2j * np.pi * np.outer(t_eval / spec.period_T, sys.freqs))
     y_z = phases @ Xc / sys.n_grid / rho
     ys = np.concatenate([y_z.real, y_z.imag], axis=-1)
-    gf = GaugeField(spec.surface)
-    traj = Trajectory(ts=ss, xs=ys, period_tau=float(tau_prime),
-                      energy_level=1.0,
+    traj = Trajectory(ts=ss, xs=ys,
                       closure_residual=float(np.linalg.norm(ys[-1] - ys[0])),
-                      energy_drift=0.0, hamiltonian=gf)
+                      energy_drift=0.0)
     orb = ClosedCharacteristic(orbit_id=orbit_id, prime_period=float(tau_prime),
                                trajectory=traj, provenance="galerkin", rho=rho,
-                               critical_value=float(sys.value(vec)),
-                               multiplicity_of_record=mult)
+                               critical_value=float(sys.value(vec)))
     info = {"rho": rho, "level_spread": level_spread, "multiplicity": mult,
             "tau_total": tau_total}
     return orb, info

@@ -38,8 +38,10 @@ class Hypersurface:
     """A compact star-shaped surface given by its gauge function.
 
     ``gauge``, ``gauge_grad`` and ``gauge_hess`` accept arrays of shape
-    ``(..., 2n)`` and broadcast over leading axes.  All objects are immutable
-    after construction.
+    ``(..., 2n)`` and broadcast over leading axes.  ``jet(x)`` returns the
+    gradient and the Hessian together, bitwise equal to the two callbacks;
+    a surface built without one gets them composed.  All objects are
+    immutable after construction.
     """
 
     dim_n: int
@@ -48,15 +50,16 @@ class Hypersurface:
     gauge_hess: Callable[[np.ndarray], np.ndarray]
     kind: str
     meta: dict = field(default_factory=dict)
+    jet: Callable[[np.ndarray], tuple] = None
+
+    def __post_init__(self):
+        if self.jet is None:
+            object.__setattr__(self, "jet", lambda x: (self.gauge_grad(x),
+                                                       self.gauge_hess(x)))
 
     @property
     def dim(self) -> int:
         return 2 * self.dim_n
-
-    def point(self, direction: np.ndarray) -> np.ndarray:
-        """Radial projection of ``direction`` onto the surface."""
-        d = np.asarray(direction, dtype=float)
-        return d / self.gauge(d)
 
 
 def make_ellipsoid(radii) -> Hypersurface:
@@ -82,15 +85,16 @@ def make_ellipsoid(radii) -> Hypersurface:
         j = gauge(x)
         return w * x / j[..., None]
 
-    def gauge_hess(x):
+    def jet(x):
         x = np.asarray(x, dtype=float)
         j = gauge(x)
         g = w * x / j[..., None]
         eye = np.broadcast_to(np.diag(w), x.shape + (2 * n,))
-        return eye / j[..., None, None] - g[..., :, None] * g[..., None, :] / j[..., None, None]
+        return g, (eye / j[..., None, None]
+                   - g[..., :, None] * g[..., None, :] / j[..., None, None])
 
-    return Hypersurface(n, gauge, gauge_grad, gauge_hess, "ellipsoid",
-                        {"radii": radii.copy()})
+    return Hypersurface(n, gauge, gauge_grad, lambda x: jet(x)[1], "ellipsoid",
+                        {"radii": radii.copy()}, jet)
 
 
 def make_perturbed_ellipsoid(radii, coeffs, magnitude) -> Hypersurface:
@@ -117,24 +121,23 @@ def make_perturbed_ellipsoid(radii, coeffs, magnitude) -> Hypersurface:
         u = x / e[..., None]
         return e * (1.0 + delta * _q(u))
 
-    def gauge_grad(x):
-        x = np.asarray(x, dtype=float)
+    def _prefix(x, ge):
+        """(e, u, Q, Gq) and the gradient, from the base gradient ``ge``."""
         e = base.gauge(x)
-        ge = base.gauge_grad(x)
         u = x / e[..., None]
         Q = _q(u)
         Gq = 4.0 * c * u**3
         grad_w = Gq - 3.0 * Q[..., None] * ge
-        return ge + delta * grad_w
+        return e, u, Q, Gq, ge + delta * grad_w
 
-    def gauge_hess(x):
+    def gauge_grad(x):
         x = np.asarray(x, dtype=float)
-        e = base.gauge(x)
-        ge = base.gauge_grad(x)
-        He = base.gauge_hess(x)
-        u = x / e[..., None]
-        Q = _q(u)
-        Gq = 4.0 * c * u**3
+        return _prefix(x, base.gauge_grad(x))[-1]
+
+    def jet(x):
+        x = np.asarray(x, dtype=float)
+        ge, He = base.jet(x)
+        e, u, Q, Gq, g = _prefix(x, ge)
         Hq = np.zeros(x.shape + (2 * n,))
         idx = np.arange(2 * n)
         Hq[..., idx, idx] = 12.0 * c * u**2
@@ -143,11 +146,12 @@ def make_perturbed_ellipsoid(radii, coeffs, magnitude) -> Hypersurface:
         outer_ge = ge[..., :, None] * ge[..., None, :]
         hess_w = ((Hq - 3.0 * cross + 12.0 * Q[..., None, None] * outer_ge)
                   / e[..., None, None] - 3.0 * Q[..., None, None] * He)
-        return He + delta * hess_w
+        return g, He + delta * hess_w
 
-    surf = Hypersurface(n, gauge, gauge_grad, gauge_hess, "perturbed_ellipsoid",
+    surf = Hypersurface(n, gauge, gauge_grad, lambda x: jet(x)[1],
+                        "perturbed_ellipsoid",
                         {"radii": np.asarray(radii, dtype=float),
-                         "coeffs": c, "magnitude": delta})
+                         "coeffs": c, "magnitude": delta}, jet)
     check_surface_invariants(surf, rng=np.random.default_rng(0))
     return surf
 
@@ -187,20 +191,16 @@ def check_surface_invariants(surface: Hypersurface, rng=None, n_samples: int = 1
     onsurf = X / j[:, None]
     star = np.min(np.sum(surface.gauge_grad(onsurf) * onsurf, axis=1))
 
-    # derivative consistency on a few points
+    # derivative consistency by central differences, [point, axis, component]
     h = 1e-6
-    worst_grad = 0.0
-    worst_hess = 0.0
-    for x in X[:8]:
-        gx = surface.gauge_grad(x)
-        Hx = surface.gauge_hess(x)
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = h
-            fd_g = (surface.gauge(x + e) - surface.gauge(x - e)) / (2 * h)
-            worst_grad = max(worst_grad, abs(fd_g - gx[k]))
-            fd_H = (surface.gauge_grad(x + e) - surface.gauge_grad(x - e)) / (2 * h)
-            worst_hess = max(worst_hess, float(np.max(np.abs(fd_H - Hx[:, k]))))
+    P = X[:8]
+    gP, HP = surface.jet(P)
+    plus = P[:, None, :] + h * np.eye(d)
+    minus = P[:, None, :] - h * np.eye(d)
+    fd_g = (surface.gauge(plus) - surface.gauge(minus)) / (2 * h)
+    worst_grad = float(np.max(np.abs(fd_g - gP)))
+    fd_H = (surface.gauge_grad(plus) - surface.gauge_grad(minus)) / (2 * h)
+    worst_hess = float(np.max(np.abs(fd_H - np.swapaxes(HP, 1, 2))))
 
     report = {"homogeneity": float(hom), "euler": float(euler),
               "star_min": float(star), "grad_fd": worst_grad,
@@ -493,43 +493,40 @@ class HamiltonianSpec:
                    eps_a=eps_a, cutoff_A=cutoff_A, rng_seed=rng_seed)
 
     # -- H_a with the outer modification -------------------------------------
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
+    def _blend(self, x):
+        """What value, grad and hess share: r = j(x), the step variable u,
+        the inner value a phi(r), the step chi(u) and eps/2 |x|^2."""
         r = self.surface.gauge(x)
-        inner = self.a * self.aux.phi(r)
-        quad = 0.5 * self.eps_a * np.sum(x * x, axis=-1)
-        chi = _smoothstep3((r - self.r_A) / (self.r_A))
+        u = (r - self.r_A) / self.r_A
+        return (r, u, self.a * self.aux.phi(r), _smoothstep3(u),
+                0.5 * self.eps_a * np.sum(x * x, axis=-1))
+
+    def value(self, x):
+        r, u, inner, chi, quad = self._blend(np.asarray(x, dtype=float))
         return (1.0 - chi) * inner + chi * quad
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        r = self.surface.gauge(x)
+        r, u, inner, chi, quad = self._blend(x)
         g = self.surface.gauge_grad(x)
         aphi_d = self.a * self.aux.dphi(r)
         inner_grad = aphi_d[..., None] * g
-        quad = 0.5 * self.eps_a * np.sum(x * x, axis=-1)
-        u = (r - self.r_A) / self.r_A
-        chi = _smoothstep3(u)
         chi_d = _smoothstep3_d1(u) / self.r_A
-        B = quad - self.a * self.aux.phi(r)
+        B = quad - inner
         return (inner_grad + chi[..., None] * (self.eps_a * x - inner_grad)
                 + (chi_d * B)[..., None] * g)
 
     def hess(self, x):
         x = np.asarray(x, dtype=float)
-        r = self.surface.gauge(x)
-        g = self.surface.gauge_grad(x)
-        Hj = self.surface.gauge_hess(x)
+        r, u, inner, chi, quad = self._blend(x)
+        g, Hj = self.surface.jet(x)
         aphi_d = self.a * self.aux.dphi(r)
         aphi_dd = self.a * self.aux.d2phi(r)
         gg = g[..., :, None] * g[..., None, :]
         inner_hess = aphi_dd[..., None, None] * gg + aphi_d[..., None, None] * Hj
-        u = (r - self.r_A) / self.r_A
-        chi = _smoothstep3(u)
         chi_d = _smoothstep3_d1(u) / self.r_A
         chi_dd = _smoothstep3_d2(u) / self.r_A**2
-        quad = 0.5 * self.eps_a * np.sum(x * x, axis=-1)
-        B = quad - self.a * self.aux.phi(r)
+        B = quad - inner
         gradB = self.eps_a * x - aphi_d[..., None] * g
         eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape + (x.shape[-1],))
         hessB = self.eps_a * eye - inner_hess

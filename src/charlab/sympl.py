@@ -15,9 +15,14 @@ def standard_J(n: int) -> np.ndarray:
     return J
 
 
-def symplectic_defect(R: np.ndarray, J: np.ndarray) -> float:
-    """Frobenius norm of R^T J R - J; 0 for exactly symplectic R."""
-    return float(np.linalg.norm(R.T @ J @ R - J))
+def symplectic_defect(R: np.ndarray, J: np.ndarray):
+    """Frobenius norm of R^T J R - J; 0 for exactly symplectic R.  A stack
+    of matrices gives the array of their norms, each bitwise equal to the
+    norm of that matrix alone."""
+    D = np.swapaxes(R, -1, -2) @ J @ R - J
+    D = D.reshape(D.shape[:-2] + (-1,))
+    norms = np.sqrt(np.vecdot(D, D))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def project_symplectic(R: np.ndarray, J: np.ndarray, tol: float = 1e-13,

@@ -182,6 +182,33 @@ def test_missing_k_tables_file_rejected_at_load(tmp_path, capsys):
     assert not (tmp_path / "out" / "orbits.json").exists()
 
 
+@pytest.mark.parametrize("text, field", [
+    ('[{"orbit_id": "y1"', "k_tables"),                    # cut-off JSON
+    ('[{"orbit_id": "y1", "m": 2}]', "'k'"),                # entry without k
+    ('[{"orbit_id": "y1", "m": 2.5, "k": [0]}]', "'m'"),    # m not an integer
+    ('{"orbit_id": "y1", "m": 2, "k": [0]}', "JSON list"),  # not a list
+])
+def test_malformed_k_tables_rejected_before_any_stage(tmp_path, capsys, text,
+                                                      field):
+    tables = tmp_path / "ktables.json"
+    tables.write_text(text)
+    cfg_path = write_config(tmp_path, k_tables=str(tables))
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(tables) in err and field in err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_seeds_key_rejected_by_name(tmp_path, capsys):
+    # no config-built surface shoots from seeds; find_orbits takes them in code
+    cfg_path = write_config(tmp_path, seeds="not a list")
+    assert main(["run", str(cfg_path)]) == 1
+    assert "'seeds'" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_surface_without_radii_rejected_at_load(tmp_path, capsys):
     cfg_path = write_config(tmp_path, surface={"kind": "ellipsoid"})
     assert main(["run", str(cfg_path)]) == 1

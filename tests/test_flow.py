@@ -248,7 +248,7 @@ def test_linearized_energy_drift_gate_raises():
     # the joint solve's state samples carry the flow's energy-drift check
     class Leaky(GaugeField):
         def value(self, x):
-            return super().value(x) + 1e-6 * x[0]
+            return super().value(x) + 1e-6 * x[..., 0]
 
     surf = make_ellipsoid([1.0])
     with pytest.raises(NumericFailure, match="energy drift"):

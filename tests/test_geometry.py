@@ -1,10 +1,14 @@
 """Gauge surfaces, the radial profile family, and the Fenchel machinery."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from charlab.errors import (ConstructionFailure, InvalidArgument)
-from charlab.geometry import (HamiltonianSpec, check_surface_invariants,
+from charlab.geometry import (HamiltonianSpec, Hypersurface,
+                              check_surface_invariants,
                               make_aux_function, make_ellipsoid,
                               make_perturbed_ellipsoid, spec_for_period,
                               surface_from_spec)
@@ -200,3 +204,69 @@ class TestFenchel:
         err = np.linalg.norm(Xstar - X, axis=1) / np.maximum(
             1.0, np.linalg.norm(X, axis=1))
         assert np.max(err) <= 1e-8
+
+
+def separate_gauge_hessian(surf, x):
+    """The gauge Hessian of an ellipsoid or perturbed ellipsoid written as
+    its own body, apart from the gradient: the reference for ``jet``."""
+    radii = np.asarray(surf.meta["radii"], dtype=float)
+    w = np.concatenate([1.0 / radii**2, 1.0 / radii**2])
+    dim = w.size
+    e = np.sqrt(np.sum(w * x * x, axis=-1))
+    ge = w * x / e[..., None]
+    eye = np.broadcast_to(np.diag(w), x.shape + (dim,))
+    He = (eye / e[..., None, None]
+          - ge[..., :, None] * ge[..., None, :] / e[..., None, None])
+    if surf.kind == "ellipsoid":
+        return He
+    c, delta = surf.meta["coeffs"], surf.meta["magnitude"]
+    u = x / e[..., None]
+    Q = np.sum(c * u**4, axis=-1)
+    Gq = 4.0 * c * u**3
+    Hq = np.zeros(x.shape + (dim,))
+    Hq[..., np.arange(dim), np.arange(dim)] = 12.0 * c * u**2
+    cross = (Gq[..., :, None] * ge[..., None, :]
+             + ge[..., :, None] * Gq[..., None, :])
+    outer_ge = ge[..., :, None] * ge[..., None, :]
+    hess_w = ((Hq - 3.0 * cross + 12.0 * Q[..., None, None] * outer_ge)
+              / e[..., None, None] - 3.0 * Q[..., None, None] * He)
+    return He + delta * hess_w
+
+
+@pytest.mark.parametrize("config", ["ellipsoid_3d", "perturbed_2d"])
+def test_jet_is_bitwise_the_separate_callbacks(config):
+    # one jet per RHS call may not move a report by a single bit: the jet
+    # equals the gradient callback and a Hessian written on its own, on a
+    # batch of points and point by point
+    root = Path(__file__).resolve().parent.parent
+    spec = json.loads((root / "configs" / f"{config}.json").read_text())
+    surf = surface_from_spec(spec["surface"])
+    X = np.random.default_rng(13).normal(size=(513, surf.dim))
+    g, H = surf.jet(X)
+    assert np.array_equal(g, surf.gauge_grad(X))
+    assert np.array_equal(H, surf.gauge_hess(X))
+    assert np.array_equal(H, separate_gauge_hessian(surf, X))
+    for x, gx, Hx, jx in zip(X, g, H, surf.gauge(X)):
+        g1, H1 = surf.jet(x)
+        assert np.array_equal(g1, gx) and np.array_equal(H1, Hx)
+        assert surf.gauge(x) == jx
+
+
+def test_three_callback_surface_gets_a_composed_jet():
+    base = make_ellipsoid([1.0, 1.3])
+    calls = []
+
+    def grad(x):
+        calls.append("grad")
+        return base.gauge_grad(x)
+
+    def hess(x):
+        calls.append("hess")
+        return base.gauge_hess(x)
+
+    custom = Hypersurface(base.dim_n, base.gauge, grad, hess, "custom")
+    x = np.array([0.3, -0.7, 0.2, 0.5])
+    g, H = custom.jet(x)
+    assert calls == ["grad", "hess"]
+    assert np.array_equal(g, base.gauge_grad(x))
+    assert np.array_equal(H, base.gauge_hess(x))

@@ -83,3 +83,54 @@ def test_fresh_run_matches_committed_reports(name, tmp_path):
             problems += [ref.name + m for m in mismatches(
                 json.loads(ref.read_text()), json.loads(new.read_text()), tol)]
     assert not problems, "\n".join(problems)
+
+
+def without(obj, keys):
+    """``obj`` with every object entry named in ``keys`` dropped, at any
+    depth."""
+    if isinstance(obj, dict):
+        return {k: without(v, keys) for k, v in obj.items() if k not in keys}
+    if isinstance(obj, list):
+        return [without(v, keys) for v in obj]
+    return obj
+
+
+WITNESS_KEYS = {"distance", "period_diff", "critical_value",
+                "critical_value_formula", "critical_value_negative", "rho"}
+
+
+def test_orbits_stage_with_galerkin_witness_on_perturbed_surface(tmp_path):
+    # geometry and orbits on perturbed_2d with the reduction witness on: the
+    # shooting's reports match the committed ones under the rules above,
+    # and the seed-dependent witness fields pass the witness's own claims
+    raw = json.loads((ROOT / "configs" / "perturbed_2d.json").read_text())
+    raw["galerkin"]["enable"] = True
+    config = tmp_path / "perturbed_2d_galerkin.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out-dir", str(out),
+                 "--stages", "geometry,orbits"]) == 0
+    tol = {"closure": 1e-8, "identity": 1e-6}
+    tol.update(raw["tolerances"])
+    witness = {"galerkin", "rho", "critical_value"}
+    problems = []
+    for name in ("surface_check.json", "orbits.json"):
+        ref = json.loads((ROOT / "out" / "perturbed_2d" / name).read_text())
+        new = json.loads((out / name).read_text())
+        problems += [name + m for m in mismatches(
+            without(ref, witness), without(new, witness), tol)]
+    assert not problems, "\n".join(problems)
+
+    registry = json.loads((out / "orbits.json").read_text())
+    records = {rec["id"]: rec for rec in registry["orbits"]}
+    block = registry["galerkin"]
+    assert isinstance(block, dict) and set(block) == set(records)
+    closure = tol["closure"]
+    for oid, g in block.items():
+        assert isinstance(g, dict) and set(g) == WITNESS_KEYS
+        assert g["distance"] <= closure and g["period_diff"] <= closure
+        cv, formula = g["critical_value"], g["critical_value_formula"]
+        assert cv < 0 and g["critical_value_negative"] is True
+        assert abs(cv - formula) <= closure * max(1.0, abs(formula))
+        assert records[oid]["rho"] == g["rho"]
+        assert records[oid]["critical_value"] == cv

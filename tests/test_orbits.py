@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from charlab import orbits
 from charlab.errors import SearchFailure
+from charlab.flow import GaugeField, integrate_flow
 from charlab.geometry import make_ellipsoid, make_perturbed_ellipsoid
 from charlab.orbits import (ellipsoid_catalog, dedupe_orbits, find_orbits,
                             gate_orbit, load_registry, shoot_for_orbit,
@@ -72,6 +74,42 @@ def test_iterate_folds_to_prime():
     found = shoot_for_orbit(surf, cat[0].trajectory.x0,
                             2.0 * cat[0].prime_period)
     assert found.prime_period == pytest.approx(cat[0].prime_period, rel=1e-8)
+
+
+@pytest.fixture
+def flow_solves(monkeypatch):
+    """The end time of every ``integrate_flow`` call the orbit search makes."""
+    ends = []
+
+    def counted(hamiltonian, x0, t_end, **kw):
+        ends.append(t_end)
+        return integrate_flow(hamiltonian, x0, t_end, **kw)
+
+    monkeypatch.setattr(orbits, "integrate_flow", counted)
+    return ends
+
+
+def test_shot_prime_orbit_takes_one_flow_solve(flow_solves):
+    # Newton runs on the variational solve; after it, one dense solve over
+    # the period gives both the prime-period test and the stored loop
+    pert = make_perturbed_ellipsoid([1.0, 2.0**0.25],
+                                    [0.3, -0.2, 0.15, 0.1], 1e-4)
+    found = find_orbits(pert)
+    assert flow_solves == [orb.prime_period for orb in found]
+    for orb in found:
+        ref = integrate_flow(GaugeField(pert), orb.trajectory.x0,
+                             orb.prime_period, tol=1e-12)
+        assert np.array_equal(orb.trajectory.xs, ref.xs)
+
+
+def test_folded_seed_takes_a_second_solve_over_the_prime_loop(flow_solves):
+    surf = make_ellipsoid([1.0])
+    cat = ellipsoid_catalog(surf)
+    found = shoot_for_orbit(surf, cat[0].trajectory.x0,
+                            2.0 * cat[0].prime_period)
+    assert len(flow_solves) == 2
+    assert flow_solves[1] == found.prime_period
+    assert flow_solves[0] == pytest.approx(2.0 * found.prime_period, rel=1e-12)
 
 
 def test_dedupe_folds_coincident():
