@@ -25,7 +25,7 @@ import numpy as np
 from . import galerkin as gk
 from .errors import (CharlabError, ConsistencyFailure, InvalidArgument,
                      NumericFailure)
-from .flow import (GaugeField, integrate_linearized, index_form,
+from .flow import (GaugeField, IndexForm, integrate_linearized,
                    path_max_defect)
 from .geometry import surface_from_spec, check_surface_invariants
 from .index import (IndexComputer, IterationData, compute_orbit_index_data,
@@ -221,12 +221,10 @@ def _orbit_paths(surface, orbits, cfg):
     """Rebuild the linearized index path for each registry orbit."""
     tol = cfg.tolerances["integrator"]
     gf = GaugeField(surface)
-    S = index_form(surface, cfg.index_opts["alpha"])
+    S = IndexForm(surface, cfg.index_opts["alpha"])
     return {orb.orbit_id: integrate_linearized(
                 gf, orb.trajectory.x0, orb.prime_period, S, tol=tol)
             for orb in orbits}
-
-
 
 
 def stage_geometry(cfg) -> dict:

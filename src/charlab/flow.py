@@ -10,7 +10,7 @@ canonical time normalisation used for periods.
 
 For index work the linearization is integrated along the canonical-clock
 trajectory with the effective Hessian ``(alpha-1) g g^T + hess j`` (see
-``index_form``), each right-hand side call taking g and hess j from one
+``IndexForm``), each right-hand side call taking g and hess j from one
 gauge jet.  This is the linearized flow of j^alpha after rescaling time by
 the constant factor alpha; rescaling changes no crossing count, monodromy,
 index or nullity.
@@ -63,9 +63,6 @@ class IndexForm:
 
     def __call__(self, x):
         return self.joint(x)[1]
-
-
-index_form = IndexForm
 
 
 @dataclass
@@ -179,15 +176,15 @@ def integrate_linearized(ham, x0, tau: float, hess: Callable,
     that S is evaluated on the true orbit; its energy drift is held to the
     budget of ``integrate_flow``.  Samples with symplecticity defect above
     1e-10 are retracted onto Sp(2n); a defect above ``defect_gate`` raises.
-    An ``index_form`` of the surface of a ``GaugeField`` ``ham`` gives the
-    gradient and S(x) from one gauge jet per RHS call.
+    An exact ``GaugeField`` ``ham`` with an exact ``IndexForm`` of its surface
+    gets the gradient and S(x) from one gauge jet per RHS call.
     """
     n = ham.J.shape[0] // 2
     d = 2 * n
     J = ham.J
     x0 = np.asarray(x0, dtype=float)
     tau = float(tau)
-    one_jet = (isinstance(ham, GaugeField) and isinstance(hess, IndexForm)
+    one_jet = (type(ham) is GaugeField and type(hess) is IndexForm
                and hess.surface is ham.surface)
     field_at = hess.joint if one_jet else lambda x: (ham.grad(x), hess(x))
 

@@ -493,40 +493,42 @@ class HamiltonianSpec:
                    eps_a=eps_a, cutoff_A=cutoff_A, rng_seed=rng_seed)
 
     # -- H_a with the outer modification -------------------------------------
-    def _blend(self, x):
-        """What value, grad and hess share: r = j(x), the step variable u,
-        the inner value a phi(r), the step chi(u) and eps/2 |x|^2."""
-        r = self.surface.gauge(x)
-        u = (r - self.r_A) / self.r_A
-        return (r, u, self.a * self.aux.phi(r), _smoothstep3(u),
-                0.5 * self.eps_a * np.sum(x * x, axis=-1))
-
     def value(self, x):
-        r, u, inner, chi, quad = self._blend(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        r = self.surface.gauge(x)
+        inner = self.a * self.aux.phi(r)
+        quad = 0.5 * self.eps_a * np.sum(x * x, axis=-1)
+        chi = _smoothstep3((r - self.r_A) / (self.r_A))
         return (1.0 - chi) * inner + chi * quad
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        r, u, inner, chi, quad = self._blend(x)
+        r = self.surface.gauge(x)
         g = self.surface.gauge_grad(x)
         aphi_d = self.a * self.aux.dphi(r)
         inner_grad = aphi_d[..., None] * g
+        quad = 0.5 * self.eps_a * np.sum(x * x, axis=-1)
+        u = (r - self.r_A) / self.r_A
+        chi = _smoothstep3(u)
         chi_d = _smoothstep3_d1(u) / self.r_A
-        B = quad - inner
+        B = quad - self.a * self.aux.phi(r)
         return (inner_grad + chi[..., None] * (self.eps_a * x - inner_grad)
                 + (chi_d * B)[..., None] * g)
 
     def hess(self, x):
         x = np.asarray(x, dtype=float)
-        r, u, inner, chi, quad = self._blend(x)
+        r = self.surface.gauge(x)
         g, Hj = self.surface.jet(x)
         aphi_d = self.a * self.aux.dphi(r)
         aphi_dd = self.a * self.aux.d2phi(r)
         gg = g[..., :, None] * g[..., None, :]
         inner_hess = aphi_dd[..., None, None] * gg + aphi_d[..., None, None] * Hj
+        u = (r - self.r_A) / self.r_A
+        chi = _smoothstep3(u)
         chi_d = _smoothstep3_d1(u) / self.r_A
         chi_dd = _smoothstep3_d2(u) / self.r_A**2
-        B = quad - inner
+        quad = 0.5 * self.eps_a * np.sum(x * x, axis=-1)
+        B = quad - self.a * self.aux.phi(r)
         gradB = self.eps_a * x - aphi_d[..., None] * g
         eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape + (x.shape[-1],))
         hessB = self.eps_a * eye - inner_hess

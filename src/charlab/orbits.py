@@ -74,8 +74,11 @@ def trajectory_distance(orbit_a: ClosedCharacteristic,
 
     def resample(ts, xs, shift):
         s = (phases + shift) % 1.0
-        return np.stack([np.interp(s * ts[-1], ts, col) for col in xs.T],
-                        axis=1)
+        src = s * ts[-1]
+        out = np.empty((m, xs.shape[1]))
+        for j in range(xs.shape[1]):
+            out[:, j] = np.interp(src, ts, xs[:, j])
+        return out
 
     ya = resample(ta, xa, 0.0)
 

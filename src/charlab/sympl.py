@@ -17,11 +17,11 @@ def standard_J(n: int) -> np.ndarray:
 
 def symplectic_defect(R: np.ndarray, J: np.ndarray):
     """Frobenius norm of R^T J R - J; 0 for exactly symplectic R.  A stack
-    of matrices gives the array of their norms, each bitwise equal to the
-    norm of that matrix alone."""
+    gives each matrix's norm, bitwise that of ``np.linalg.norm`` (the
+    row-by-column matmul takes the same BLAS dot)."""
     D = np.swapaxes(R, -1, -2) @ J @ R - J
-    D = D.reshape(D.shape[:-2] + (-1,))
-    norms = np.sqrt(np.vecdot(D, D))
+    D = D.reshape(D.shape[:-2] + (1, -1))
+    norms = np.sqrt(D @ np.swapaxes(D, -1, -2))[..., 0, 0]
     return float(norms) if norms.ndim == 0 else norms
 
 

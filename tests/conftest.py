@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from charlab.flow import GaugeField, integrate_linearized, index_form
+from charlab.flow import GaugeField, IndexForm, integrate_linearized
 from charlab.geometry import make_ellipsoid, make_perturbed_ellipsoid
 from charlab.index import IndexComputer, compute_orbit_index_data
 from charlab.orbits import ellipsoid_catalog, find_orbits
@@ -30,7 +30,7 @@ def solve_bundle(radii, m_max=14, alpha=1.5, tol=1e-12, surface=None):
     else:
         orbits = find_orbits(surface)
     gf = GaugeField(surface)
-    S = index_form(surface, alpha)
+    S = IndexForm(surface, alpha)
     paths = {}
     data = {}
     for orb in orbits:

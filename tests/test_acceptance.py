@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from charlab.errors import TableRuleViolation
-from charlab.flow import (GaugeField, integrate_linearized, index_form,
+from charlab.flow import (GaugeField, IndexForm, integrate_linearized,
                           path_max_defect)
 from charlab.galerkin import (ReductionOptions, critical_value_formula,
                               k_shift_audit, orbit_from_critical,
@@ -53,7 +53,7 @@ def full_identity(radii_or_surface, m_max=14):
         surface = radii_or_surface
     orbits = ellipsoid_catalog(surface) if surface.kind == "ellipsoid" else None
     gf = GaugeField(surface)
-    S = index_form(surface, 1.5)
+    S = IndexForm(surface, 1.5)
     contribs = []
     datas = {}
     for orb in orbits:

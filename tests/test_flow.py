@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from charlab.errors import NumericFailure
-from charlab.flow import (GaugeField, index_form, integrate_flow,
+from charlab.flow import (GaugeField, IndexForm, integrate_flow,
                           integrate_linearized, path_max_defect)
 from charlab.geometry import make_ellipsoid
 from charlab.sympl import standard_J, symplectic_defect
@@ -132,7 +132,7 @@ def test_energy_conservation_budget():
 def circle_path():
     surf = make_ellipsoid([1.0])
     return integrate_linearized(GaugeField(surf), np.array([1.0, 0.0]),
-                                2 * np.pi, index_form(surf, 1.5), tol=1e-12)
+                                2 * np.pi, IndexForm(surf, 1.5), tol=1e-12)
 
 
 class TestLinearized:
@@ -163,7 +163,7 @@ class TestLinearized:
         surf = make_ellipsoid([1.0, 2.0**0.25])
         x0 = np.array([1.0, 0.0, 0.0, 0.0])
         tau = 2 * np.pi
-        S = index_form(surf, 1.5)
+        S = IndexForm(surf, 1.5)
         path = integrate_linearized(GaugeField(surf), x0, tau, S, tol=1e-12)
         path5 = integrate_linearized(GaugeField(surf), x0, 5 * tau, S,
                                      tol=1e-12)
@@ -188,7 +188,7 @@ def test_elliptic_angle_against_refined_integration(ell2_bundle):
     surf = ell2_bundle.surface
     orb = ell2_bundle.orbits[0]
     path = integrate_linearized(GaugeField(surf), orb.trajectory.x0,
-                                orb.prime_period, index_form(surf, 1.5),
+                                orb.prime_period, IndexForm(surf, 1.5),
                                 tol=1e-13)
     ref = ell2_bundle.paths["y1"].end_monodromy
     assert np.max(np.abs(path.end_monodromy - ref)) <= 1e-8
@@ -253,7 +253,39 @@ def test_linearized_energy_drift_gate_raises():
     surf = make_ellipsoid([1.0])
     with pytest.raises(NumericFailure, match="energy drift"):
         integrate_linearized(Leaky(surf), np.array([1.0, 0.0]), 2 * np.pi,
-                             index_form(surf, 1.5), tol=1e-12)
+                             IndexForm(surf, 1.5), tol=1e-12)
+
+
+def test_one_jet_rhs_only_for_the_exact_gauge_field():
+    # the one-jet RHS equals the two-callback RHS bitwise, and a GaugeField
+    # subclass that overrides grad keeps its own state equation
+    class Doubled(GaugeField):
+        def value(self, x):
+            return 2.0 * super().value(x)
+
+        def grad(self, x):
+            return 2.0 * super().grad(x)
+
+    surf = make_ellipsoid([1.0, 1.3])
+    S = IndexForm(surf, 1.5)
+    x0 = np.array([1.0, 0.0, 0.0, 0.0])
+    for ham in (GaugeField(surf), Doubled(surf)):
+        one_jet = integrate_linearized(ham, x0, np.pi, S, tol=1e-12)
+        two_calls = integrate_linearized(ham, x0, np.pi, lambda x: S(x),
+                                         tol=1e-12)
+        assert np.array_equal(one_jet.Rs, two_calls.Rs)
+
+
+def test_batched_symplectic_defect_is_bitwise_the_matrix_norm():
+    # a stack gives each matrix's np.linalg.norm bit for bit, so the batched
+    # defect sweeps report what a loop over single matrices would
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        J = standard_J(n)
+        Rs = np.eye(2 * n) + 1e-6 * rng.standard_normal((200, 2 * n, 2 * n))
+        want = [np.linalg.norm(R.T @ J @ R - J) for R in Rs]
+        assert np.array_equal(symplectic_defect(Rs, J), want)
+        assert symplectic_defect(Rs[0], J) == want[0]
 
 
 def project_with_sqrtm(R, J, tol=1e-13, max_iter=8):
@@ -274,7 +306,7 @@ def test_projection_retracts_an_injected_defect():
     # a skew part -1e-10 J in the index form grows R by exp(1e-10 t), which
     # puts a defect of about 1e-9 into the path: every sample is retracted
     surf = make_ellipsoid([1.0])
-    S = index_form(surf, 1.5)
+    S = IndexForm(surf, 1.5)
     J = standard_J(1)
     path = integrate_linearized(GaugeField(surf), np.array([1.0, 0.0]),
                                 2 * np.pi, lambda x: S(x) - 1e-10 * J,

@@ -239,7 +239,7 @@ class TestThreePlaneIndices:
 
 def test_identity_on_golden_ratio_ellipsoid():
     # a different irrational spectrum: squared radii (1, golden ratio)
-    from charlab.flow import GaugeField, integrate_linearized, index_form
+    from charlab.flow import GaugeField, IndexForm, integrate_linearized
     from charlab.geometry import make_ellipsoid
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     surf = make_ellipsoid([1.0, phi**0.5])
@@ -247,7 +247,7 @@ def test_identity_on_golden_ratio_ellipsoid():
     total = 0.0
     for orb in ellipsoid_catalog(surf):
         path = integrate_linearized(GaugeField(surf), orb.trajectory.x0,
-                                    orb.prime_period, index_form(surf, 1.5),
+                                    orb.prime_period, IndexForm(surf, 1.5),
                                     tol=1e-12)
         d = compute_orbit_index_data(orb.orbit_id, IndexComputer(path),
                                      m_max=8)
@@ -272,13 +272,13 @@ class TestInvariantGates:
 def test_homogeneity_exponent_independence(ell2_bundle):
     # the index data must not depend on the exponent used for the
     # linearization (any value in (1, 2) gives the same path counts)
-    from charlab.flow import GaugeField, integrate_linearized, index_form
+    from charlab.flow import GaugeField, IndexForm, integrate_linearized
     surf = ell2_bundle.surface
     orb = ell2_bundle.orbits[0]
     ref = ell2_bundle.index_data["y1"]
     for alpha in (1.3, 1.7):
         path = integrate_linearized(GaugeField(surf), orb.trajectory.x0,
-                                    orb.prime_period, index_form(surf, alpha),
+                                    orb.prime_period, IndexForm(surf, alpha),
                                     tol=1e-12)
         data = compute_orbit_index_data("a", IndexComputer(path), m_max=10)
         assert all(data.index(m) == ref.index(m) for m in range(1, 11))
@@ -288,14 +288,14 @@ def test_homogeneity_exponent_independence(ell2_bundle):
 
 
 def test_scaling_invariance_of_mean_index(ell2_bundle):
-    from charlab.flow import GaugeField, integrate_linearized, index_form
+    from charlab.flow import GaugeField, IndexForm, integrate_linearized
     from charlab.geometry import make_ellipsoid
     lam = 2.0
     surf = make_ellipsoid([lam * 1.0, lam * 2.0**0.25])
     tau = 2 * np.pi * lam**2
     path = integrate_linearized(GaugeField(surf),
                                 np.array([lam, 0.0, 0.0, 0.0]), tau,
-                                index_form(surf, 1.5), tol=1e-12)
+                                IndexForm(surf, 1.5), tol=1e-12)
     data = compute_orbit_index_data("s", IndexComputer(path), m_max=10)
     ref = ell2_bundle.index_data["y1"]
     assert abs(data.mean_index - ref.mean_index) <= 1e-8

@@ -14,7 +14,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from charlab.errors import NumericFailure, SearchFailure
-from charlab.flow import GaugeField, index_form
+from charlab.flow import GaugeField, IndexForm
 from charlab.geometry import Hypersurface, make_ellipsoid, surface_from_spec
 from charlab.ode import brentq, dop853, minimize_bounded
 from charlab.orbits import _closure_map, ellipsoid_catalog
@@ -40,7 +40,7 @@ def gauge_system(surface):
 
 def joint_system(surface):
     """The (x, R) system of ``integrate_linearized`` at alpha = 1.5."""
-    gf, S, d = GaugeField(surface), index_form(surface, 1.5), surface.dim
+    gf, S, d = GaugeField(surface), IndexForm(surface, 1.5), surface.dim
 
     def rhs(t, y):
         x, R = y[:d], y[d:].reshape(d, d)
