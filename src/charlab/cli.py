@@ -25,8 +25,7 @@ import numpy as np
 from . import galerkin as gk
 from .errors import (CharlabError, ConsistencyFailure, InvalidArgument,
                      NumericFailure)
-from .flow import (GaugeField, IndexForm, integrate_linearized,
-                   path_max_defect)
+from .flow import integrate_linearized, path_max_defect
 from .geometry import surface_from_spec, check_surface_invariants
 from .index import (IndexComputer, IterationData, compute_orbit_index_data,
                     extend_records, index_data_from_iteration)
@@ -69,6 +68,10 @@ def _boolean(v):
 # key path -> (what its value must be, test); a galerkin null keeps the default
 _VALUE_KINDS = {
     "seed": ("an integer", _integer),
+    "out_dir": ("a string", lambda v: isinstance(v, str)),
+    "stages": ("a list of strings",
+               lambda v: isinstance(v, list)
+               and all(isinstance(s, str) for s in v)),
     **{f"tolerances.{k}": ("a number", _number) for k in _DEFAULT_TOLERANCES},
     "tolerances.q_max": ("an integer", _integer),
     "index.m_max": ("an integer", _integer),
@@ -185,6 +188,11 @@ class RunConfig:
             if key not in surface:
                 raise InvalidArgument(f"config missing required field "
                                       f"'surface.{key}'")
+        # k_tables, like a surface file, resolves against the config's
+        # directory; out_dir stays relative to the working directory
+        tables = raw.get("k_tables")
+        if tables is not None:
+            tables = path.parent / tables
         tol = dict(_DEFAULT_TOLERANCES)
         tol.update(block["tolerances"])
         if overrides.get("tol") is not None:
@@ -196,7 +204,7 @@ class RunConfig:
                      else raw.get("seed", 0)),
             stages=tuple(overrides.get("stages") or raw.get("stages", ALL_STAGES)),
             tolerances=tol,
-            k_tables=_load_k_tables(raw.get("k_tables")),
+            k_tables=_load_k_tables(tables),
             galerkin=_reduction_options(block["galerkin"]),
             galerkin_enable=bool(block["galerkin"].get("enable", False)),
         )
@@ -219,11 +227,9 @@ def _dump(obj, path: Path):
 
 def _orbit_paths(surface, orbits, cfg):
     """Rebuild the linearized index path for each registry orbit."""
-    tol = cfg.tolerances["integrator"]
-    gf = GaugeField(surface)
-    S = IndexForm(surface, cfg.index_opts["alpha"])
+    tol, alpha = cfg.tolerances["integrator"], cfg.index_opts["alpha"]
     return {orb.orbit_id: integrate_linearized(
-                gf, orb.trajectory.x0, orb.prime_period, S, tol=tol)
+                surface, orb.trajectory.x0, orb.prime_period, alpha, tol=tol)
             for orb in orbits}
 
 

@@ -29,10 +29,6 @@ class SearchFailure(CharlabError):
     """An orbit search did not converge to an acceptable solution."""
 
 
-class DomainError(CharlabError):
-    """A trajectory or query left the modeled region."""
-
-
 class InvariantViolation(CharlabError):
     """A hard invariant gate failed (the result must not be used)."""
 

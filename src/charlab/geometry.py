@@ -37,25 +37,19 @@ _TWO_PI = 2.0 * np.pi
 class Hypersurface:
     """A compact star-shaped surface given by its gauge function.
 
-    ``gauge``, ``gauge_grad`` and ``gauge_hess`` accept arrays of shape
+    ``gauge``, ``gauge_grad`` and ``jet`` accept arrays of shape
     ``(..., 2n)`` and broadcast over leading axes.  ``jet(x)`` returns the
-    gradient and the Hessian together, bitwise equal to the two callbacks;
-    a surface built without one gets them composed.  All objects are
+    gradient and the Hessian together, the gradient bitwise equal to
+    ``gauge_grad``; it is the surface's only Hessian.  All objects are
     immutable after construction.
     """
 
     dim_n: int
     gauge: Callable[[np.ndarray], np.ndarray]
     gauge_grad: Callable[[np.ndarray], np.ndarray]
-    gauge_hess: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple]
     kind: str
     meta: dict = field(default_factory=dict)
-    jet: Callable[[np.ndarray], tuple] = None
-
-    def __post_init__(self):
-        if self.jet is None:
-            object.__setattr__(self, "jet", lambda x: (self.gauge_grad(x),
-                                                       self.gauge_hess(x)))
 
     @property
     def dim(self) -> int:
@@ -93,8 +87,8 @@ def make_ellipsoid(radii) -> Hypersurface:
         return g, (eye / j[..., None, None]
                    - g[..., :, None] * g[..., None, :] / j[..., None, None])
 
-    return Hypersurface(n, gauge, gauge_grad, lambda x: jet(x)[1], "ellipsoid",
-                        {"radii": radii.copy()}, jet)
+    return Hypersurface(n, gauge, gauge_grad, jet, "ellipsoid",
+                        {"radii": radii.copy()})
 
 
 def make_perturbed_ellipsoid(radii, coeffs, magnitude) -> Hypersurface:
@@ -148,10 +142,9 @@ def make_perturbed_ellipsoid(radii, coeffs, magnitude) -> Hypersurface:
                   / e[..., None, None] - 3.0 * Q[..., None, None] * He)
         return g, He + delta * hess_w
 
-    surf = Hypersurface(n, gauge, gauge_grad, lambda x: jet(x)[1],
-                        "perturbed_ellipsoid",
+    surf = Hypersurface(n, gauge, gauge_grad, jet, "perturbed_ellipsoid",
                         {"radii": np.asarray(radii, dtype=float),
-                         "coeffs": c, "magnitude": delta}, jet)
+                         "coeffs": c, "magnitude": delta})
     check_surface_invariants(surf, rng=np.random.default_rng(0))
     return surf
 
@@ -558,8 +551,15 @@ class HamiltonianSpec:
         """Legendre transform of H_K at the rows of Y.
 
         Returns (values, maximisers); the gradient of the dual at y is the
-        maximiser x(y), the unique solution of grad H_K(x) = y.
+        maximiser x(y), the unique solution of grad H_K(x) = y.  A damped
+        Newton step is accepted when it shrinks the residual or, where H_K
+        is barely convex and the residual stalls, when it gives an Armijo
+        decrease of the convex objective H_K(x) - x.y.  The objective is
+        the fallback only: near convergence it has no digits left.
         """
+        def objective(X, Yr):
+            return self.hk_value(X) - np.sum(X * Yr, axis=1)
+
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         npts, d = Y.shape
         scale = np.maximum(1.0, np.linalg.norm(Y, axis=1))
@@ -581,6 +581,11 @@ class HamiltonianSpec:
                 trial[np.linalg.norm(trial, axis=1) < 1e-12] = 1e-9
                 tnorm = np.linalg.norm(self.hk_grad(trial) - Y[active], axis=1)
                 bad = tnorm > (1.0 - 0.25 * alpha) * base
+                if np.any(bad):
+                    Yb = Y[active][bad]
+                    slope = np.sum(res[active][bad] * step[bad], axis=1)
+                    drop = objective(trial[bad], Yb) - objective(Xa[bad], Yb)
+                    bad[bad] = drop > -1e-4 * alpha[bad] * slope
                 if not np.any(bad):
                     break
                 alpha[bad] *= 0.5

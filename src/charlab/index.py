@@ -198,11 +198,8 @@ class IndexComputer:
         ss[0] = margin
         ss[-1] = self.tau - margin
         self.scan_ts = ss
-        if path.sol is not None:
-            ys = path.sol(ss)
-            self.scan_Rs = ys[self.d:].T.reshape(len(ss), self.d, self.d)
-        else:
-            self.scan_Rs = np.array([path.base_at(t) for t in ss])
+        ys = path.sol(ss)
+        self.scan_Rs = ys[self.d:].T.reshape(len(ss), self.d, self.d)
         S0 = path.S_at(0.0)
         eig0 = np.linalg.eigvalsh(S0)
         if np.min(np.abs(eig0)) < self.reg_tol * np.max(np.abs(eig0)):

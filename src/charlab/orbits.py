@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (ConsistencyFailure, InvalidArgument, InvariantViolation,
                      NumericFailure, SearchFailure)
-from .flow import GaugeField, Trajectory, integrate_flow
+from .flow import Trajectory, integrate_flow
 from .geometry import Hypersurface
 from .ode import dop853, minimize_bounded
 from .sympl import standard_J
@@ -212,13 +212,12 @@ def shoot_for_orbit(surface: Hypersurface, seed_point, period_guess: float,
             f"from initial {norm0:.3g})")
 
     # one dense solve over tau; prime-vs-iterate: does it close at tau/m?
-    gf = GaugeField(surface)
-    traj = integrate_flow(gf, x0, tau, tol=int_tol)
+    traj = integrate_flow(surface, x0, tau, tol=int_tol)
     prime_tau = tau
     for m in range(prime_check_max, 1, -1):
         if np.linalg.norm(traj.sol(tau / m) - x0) < 100.0 * tol:
             prime_tau = tau / m
-            traj = integrate_flow(gf, x0, prime_tau, tol=int_tol)
+            traj = integrate_flow(surface, x0, prime_tau, tol=int_tol)
             break
     if traj.closure_residual > 100.0 * tol:
         raise SearchFailure("closure degraded after prime-period reduction")
@@ -233,8 +232,8 @@ def gate_orbit(surface: Hypersurface, orbit: ClosedCharacteristic, *,
     integration over one prime period at the run's ``int_tol`` (DOP853's
     rtol floor ``max(1e-2 * tol, 3e-14)`` leaves no room to tighten it) must
     close within ``closure_tol``, and the loop must sit on the surface."""
-    gf = GaugeField(surface)
-    re = integrate_flow(gf, orbit.trajectory.x0, orbit.prime_period, tol=int_tol)
+    re = integrate_flow(surface, orbit.trajectory.x0, orbit.prime_period,
+                        tol=int_tol)
     sres = surface_residual(surface, orbit)
     if re.closure_residual > closure_tol:
         raise InvariantViolation(

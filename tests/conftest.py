@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from charlab.flow import GaugeField, IndexForm, integrate_linearized
+from charlab.flow import integrate_linearized
 from charlab.geometry import make_ellipsoid, make_perturbed_ellipsoid
 from charlab.index import IndexComputer, compute_orbit_index_data
 from charlab.orbits import ellipsoid_catalog, find_orbits
@@ -29,13 +29,11 @@ def solve_bundle(radii, m_max=14, alpha=1.5, tol=1e-12, surface=None):
         orbits = ellipsoid_catalog(surface)
     else:
         orbits = find_orbits(surface)
-    gf = GaugeField(surface)
-    S = IndexForm(surface, alpha)
     paths = {}
     data = {}
     for orb in orbits:
         paths[orb.orbit_id] = integrate_linearized(
-            gf, orb.trajectory.x0, orb.prime_period, S, tol=tol)
+            surface, orb.trajectory.x0, orb.prime_period, alpha, tol=tol)
         data[orb.orbit_id] = compute_orbit_index_data(
             orb.orbit_id, IndexComputer(paths[orb.orbit_id]), m_max=m_max)
     return Bundle(surface, orbits, paths, data)

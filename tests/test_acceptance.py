@@ -22,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from charlab.errors import TableRuleViolation
-from charlab.flow import (GaugeField, IndexForm, integrate_linearized,
-                          path_max_defect)
+from charlab.flow import integrate_linearized, path_max_defect
 from charlab.galerkin import (ReductionOptions, critical_value_formula,
                               k_shift_audit, orbit_from_critical,
                               reduced_critical_point, suggest_K_grid)
@@ -52,13 +51,11 @@ def full_identity(radii_or_surface, m_max=14):
     else:
         surface = radii_or_surface
     orbits = ellipsoid_catalog(surface) if surface.kind == "ellipsoid" else None
-    gf = GaugeField(surface)
-    S = IndexForm(surface, 1.5)
     contribs = []
     datas = {}
     for orb in orbits:
-        path = integrate_linearized(gf, orb.trajectory.x0, orb.prime_period,
-                                    S, tol=1e-12)
+        path = integrate_linearized(surface, orb.trajectory.x0,
+                                    orb.prime_period, 1.5, tol=1e-12)
         d = compute_orbit_index_data(orb.orbit_id, IndexComputer(path),
                                      m_max=m_max)
         table = critical_type_numbers(d)

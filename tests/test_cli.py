@@ -1,5 +1,7 @@
 """End-to-end pipeline runs, exit-code contract, determinism, audits."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -141,6 +143,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys, extra, key_path):
 @pytest.mark.parametrize("extra, key_path", [
     ({"galerkin": {"enable": True, "ratio": "0.7x"}}, "galerkin.ratio"),
     ({"index": {"m_max": "20", "alpha": 1.5}}, "index.m_max"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"stages": 5}, "stages"),
 ])
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys, extra,
                                              key_path):
@@ -180,6 +184,23 @@ def test_missing_k_tables_file_rejected_at_load(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "k_tables" in err and str(missing) in err
     assert not (tmp_path / "out" / "orbits.json").exists()
+
+
+def test_k_tables_resolve_against_the_config_directory(tmp_path, monkeypatch):
+    # like a surface file, k_tables is found next to the config whatever the
+    # working directory is; out_dir stays relative to the working directory
+    from charlab.cli import RunConfig
+
+    cfg_dir, work = tmp_path / "configs", tmp_path / "work"
+    cfg_dir.mkdir()
+    work.mkdir()
+    (cfg_dir / "t.json").write_text(
+        json.dumps([{"orbit_id": "y1", "m": 2, "k": [0, 1, 0]}]))
+    cfg_path = write_config(cfg_dir, k_tables="t.json", out_dir="out")
+    monkeypatch.chdir(work)
+    assert RunConfig.load(cfg_path).k_tables == {"y1": {2: [0, 1, 0]}}
+    assert main(["run", str(cfg_path), "--stages", "geometry"]) == 0
+    assert (work / "out" / "surface_check.json").exists()
 
 
 @pytest.mark.parametrize("text, field", [
@@ -261,6 +282,37 @@ def test_audit_circle(tmp_path):
     assert conv["pass"] and conv["pairs"] == 10000
 
 
+def test_audit_defect_sees_an_injected_skew(tmp_path, monkeypatch):
+    # a skew part -1e-8 J in the circle's Hessian puts a raw defect near
+    # 1.8e-7 into its index path, under the solve's own defect gate; the
+    # audit reads the integrated samples and fails its 1e-8 gate
+    from dataclasses import replace
+
+    from charlab import cli
+    from charlab.sympl import standard_J
+
+    def skewed(spec):
+        surface = geometry.surface_from_spec(spec)
+        J = standard_J(surface.dim_n)
+
+        def jet(x):
+            g, H = surface.jet(x)
+            return g, H - 1e-8 * J
+        return replace(surface, jet=jet)
+
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path), "--stages", "geometry,orbits"]) == 0
+    monkeypatch.setattr(cli, "surface_from_spec", skewed)
+    assert main(["audit", str(cfg_path)]) == 1
+    out = tmp_path / "out"
+    sym = json.loads((out / "audit_symplecticity.json").read_text())
+    assert not sym["pass"]
+    assert 1e-7 < sym["max_defect_per_orbit"]["y1"] < 1e-6
+    for name in ("audit_bott.json", "audit_k_shift.json",
+                 "audit_convexity.json"):
+        assert json.loads((out / name).read_text())["pass"]
+
+
 RESUMED = ("resonance_report.json", "morse_series.csv", "run_summary.json")
 
 
@@ -293,6 +345,23 @@ class NoScipy:
             raise ImportError("scipy is blocked: " + name)
 sys.meta_path.insert(0, NoScipy())
 """
+
+
+def test_benchmark_traces_only_functions_charlab_has():
+    # perfbench/trace_child.py times the functions its LAYER_FUNCTIONS table
+    # names; one renamed here would silently drop out of its per-layer view
+    source = (Path(__file__).resolve().parent.parent / "perfbench"
+              / "trace_child.py").read_text()
+    table, = [ast.literal_eval(node.value) for node in ast.parse(source).body
+              if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) == "LAYER_FUNCTIONS"]
+    for layer, names in table.items():
+        module = importlib.import_module(f"charlab.{layer}")
+        for name in names:
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            assert callable(obj), f"charlab.{layer}.{name} is gone"
 
 
 def run_without_scipy(code):

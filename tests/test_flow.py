@@ -1,32 +1,23 @@
 """Flow integration, linearized paths, Floquet multipliers."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from charlab.errors import NumericFailure
-from charlab.flow import (GaugeField, IndexForm, integrate_flow,
-                          integrate_linearized, path_max_defect)
+from charlab.flow import integrate_flow, integrate_linearized, path_max_defect
 from charlab.geometry import make_ellipsoid
 from charlab.sympl import standard_J, symplectic_defect
 
 
-class PowerHamiltonian:
-    """H = j^alpha on a surface (alpha = 2 gives the squared-gauge flow)."""
-
-    def __init__(self, surface, alpha):
-        self.surface = surface
-        self.alpha = float(alpha)
-        self.J = standard_J(surface.dim_n)
-
-    def value(self, x):
-        return self.surface.gauge(x)**self.alpha
-
-    def grad(self, x):
-        j = self.surface.gauge(x)
-        g = self.surface.gauge_grad(x)
-        return self.alpha * j**(self.alpha - 1.0) * g
+def with_hessian_offset(surface, offset):
+    """The surface with a constant matrix added to its jet's Hessian."""
+    def jet(x):
+        g, H = surface.jet(x)
+        return g, H + offset
+    return replace(surface, jet=jet)
 
 
 def path_at(path, t):
@@ -94,45 +85,47 @@ def write_path_csv(path, fname):
             w.writerow([repr(float(t))] + [repr(float(v)) for v in R.ravel()])
 
 
-def test_circle_squared_gauge_is_rigid_rotation():
-    # oracle: xdot = 2 J x solves in closed form, period pi
+def test_circle_gauge_flow_is_rigid_rotation():
+    # oracle: on the unit circle grad j(x) = x, so xdot = J x solves in
+    # closed form, period 2 pi
     surf = make_ellipsoid([1.0])
-    ham = PowerHamiltonian(surf, 2.0)
     x0 = np.array([1.0, 0.0])
-    traj = integrate_flow(ham, x0, np.pi, tol=1e-12)
+    traj = integrate_flow(surf, x0, 2 * np.pi, tol=1e-12)
     assert traj.closure_residual <= 1e-9
     J = standard_J(1)
-    exact = np.array([np.cos(2 * t) * x0 + np.sin(2 * t) * (J @ x0)
+    exact = np.array([np.cos(t) * x0 + np.sin(t) * (J @ x0)
                       for t in traj.ts])
     assert np.max(np.abs(traj.xs - exact)) <= 1e-9
 
 
 def test_zero_time_single_sample():
     surf = make_ellipsoid([1.0])
-    traj = integrate_flow(GaugeField(surf), np.array([1.0, 0.0]), 0.0)
+    traj = integrate_flow(surf, np.array([1.0, 0.0]), 0.0)
     assert len(traj.ts) == 1
     assert traj.closure_residual == 0.0
 
 
 def test_axis_plane_invariance():
+    # the unit circle of the first plane is a loop of period 2 pi; the
+    # other plane stays at rest
     surf = make_ellipsoid([1.0, 2.0])
-    traj = integrate_flow(PowerHamiltonian(surf, 2.0),
-                          np.array([1.0, 0.0, 0.0, 0.0]), np.pi, tol=1e-12)
+    traj = integrate_flow(surf, np.array([1.0, 0.0, 0.0, 0.0]), 2 * np.pi,
+                          tol=1e-12)
     assert np.max(np.abs(traj.xs[:, [1, 3]])) <= 1e-10
+    assert traj.closure_residual <= 1e-9
 
 
 def test_energy_conservation_budget():
     surf = make_ellipsoid([1.0, 1.3])
-    traj = integrate_flow(GaugeField(surf), np.array([1.0, 0, 0, 0]),
-                          4.0, tol=1e-10)
+    traj = integrate_flow(surf, np.array([1.0, 0, 0, 0]), 4.0, tol=1e-10)
     assert traj.energy_drift <= 10.0 * 1e-10 * 4.0
 
 
 @pytest.fixture(scope="module")
 def circle_path():
     surf = make_ellipsoid([1.0])
-    return integrate_linearized(GaugeField(surf), np.array([1.0, 0.0]),
-                                2 * np.pi, IndexForm(surf, 1.5), tol=1e-12)
+    return integrate_linearized(surf, np.array([1.0, 0.0]), 2 * np.pi, 1.5,
+                                tol=1e-12)
 
 
 class TestLinearized:
@@ -163,10 +156,8 @@ class TestLinearized:
         surf = make_ellipsoid([1.0, 2.0**0.25])
         x0 = np.array([1.0, 0.0, 0.0, 0.0])
         tau = 2 * np.pi
-        S = IndexForm(surf, 1.5)
-        path = integrate_linearized(GaugeField(surf), x0, tau, S, tol=1e-12)
-        path5 = integrate_linearized(GaugeField(surf), x0, 5 * tau, S,
-                                     tol=1e-12)
+        path = integrate_linearized(surf, x0, tau, 1.5, tol=1e-12)
+        path5 = integrate_linearized(surf, x0, 5 * tau, 1.5, tol=1e-12)
         for m in range(1, 6):
             stitched = path_at(path, m * tau)
             direct = path5.sol(m * tau)[4:].reshape(4, 4)
@@ -187,9 +178,8 @@ def test_elliptic_angle_against_refined_integration(ell2_bundle):
     # oracle: re-integrate the monodromy at a tighter tolerance
     surf = ell2_bundle.surface
     orb = ell2_bundle.orbits[0]
-    path = integrate_linearized(GaugeField(surf), orb.trajectory.x0,
-                                orb.prime_period, IndexForm(surf, 1.5),
-                                tol=1e-13)
+    path = integrate_linearized(surf, orb.trajectory.x0, orb.prime_period,
+                                1.5, tol=1e-13)
     ref = ell2_bundle.paths["y1"].end_monodromy
     assert np.max(np.abs(path.end_monodromy - ref)) <= 1e-8
 
@@ -213,67 +203,22 @@ def test_csv_dumps(tmp_path, circle_bundle):
     assert cols[0] == "t" and len(cols) == 1 + 4   # row-major 2x2 entries
 
 
-def test_escape_gate_raises_domain_error():
-    from charlab.errors import DomainError
-
-    class Outward:
-        """Field with a radial drift; leaves any gauge ball."""
-
-        def __init__(self, surface):
-            self.surface = surface
-            self.J = standard_J(surface.dim_n)
-
-        def value(self, x):
-            return 0.0
-
-        def grad(self, x):
-            return self.J.T @ np.asarray(x, dtype=float)   # xdot = J grad = x
-
-    surf = make_ellipsoid([1.0])
-    with pytest.raises(DomainError):
-        integrate_flow(Outward(surf), np.array([1.0, 0.0]), 3.0,
-                       tol=1e-8, max_gauge=2.0)
-
-
 def test_defect_gate_raises():
     # a non-symmetric "Hessian" destroys symplecticity; the gate must fire
-    surf = make_ellipsoid([1.0])
-    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    surf = with_hessian_offset(make_ellipsoid([1.0]),
+                               np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NumericFailure, match="defect"):
-        integrate_linearized(GaugeField(surf), np.array([1.0, 0.0]),
-                             2 * np.pi, lambda x: skew, tol=1e-10)
+        integrate_linearized(surf, np.array([1.0, 0.0]), 2 * np.pi, 1.5,
+                             tol=1e-10)
 
 
 def test_linearized_energy_drift_gate_raises():
     # the joint solve's state samples carry the flow's energy-drift check
-    class Leaky(GaugeField):
-        def value(self, x):
-            return super().value(x) + 1e-6 * x[..., 0]
-
-    surf = make_ellipsoid([1.0])
+    circle = make_ellipsoid([1.0])
+    leaky = replace(circle, gauge=lambda x: circle.gauge(x) + 1e-6 * x[..., 0])
     with pytest.raises(NumericFailure, match="energy drift"):
-        integrate_linearized(Leaky(surf), np.array([1.0, 0.0]), 2 * np.pi,
-                             IndexForm(surf, 1.5), tol=1e-12)
-
-
-def test_one_jet_rhs_only_for_the_exact_gauge_field():
-    # the one-jet RHS equals the two-callback RHS bitwise, and a GaugeField
-    # subclass that overrides grad keeps its own state equation
-    class Doubled(GaugeField):
-        def value(self, x):
-            return 2.0 * super().value(x)
-
-        def grad(self, x):
-            return 2.0 * super().grad(x)
-
-    surf = make_ellipsoid([1.0, 1.3])
-    S = IndexForm(surf, 1.5)
-    x0 = np.array([1.0, 0.0, 0.0, 0.0])
-    for ham in (GaugeField(surf), Doubled(surf)):
-        one_jet = integrate_linearized(ham, x0, np.pi, S, tol=1e-12)
-        two_calls = integrate_linearized(ham, x0, np.pi, lambda x: S(x),
-                                         tol=1e-12)
-        assert np.array_equal(one_jet.Rs, two_calls.Rs)
+        integrate_linearized(leaky, np.array([1.0, 0.0]), 2 * np.pi, 1.5,
+                             tol=1e-12)
 
 
 def test_batched_symplectic_defect_is_bitwise_the_matrix_norm():
@@ -303,17 +248,16 @@ def project_with_sqrtm(R, J, tol=1e-13, max_iter=8):
 
 
 def test_projection_retracts_an_injected_defect():
-    # a skew part -1e-10 J in the index form grows R by exp(1e-10 t), which
-    # puts a defect of about 1e-9 into the path: every sample is retracted
-    surf = make_ellipsoid([1.0])
-    S = IndexForm(surf, 1.5)
+    # a skew part -1e-10 J in the Hessian grows R by exp(1e-10 t), which
+    # puts a defect of about 1e-9 into the path: the end monodromy is
+    # retracted, the samples are kept as integrated
     J = standard_J(1)
-    path = integrate_linearized(GaugeField(surf), np.array([1.0, 0.0]),
-                                2 * np.pi, lambda x: S(x) - 1e-10 * J,
+    surf = with_hessian_offset(make_ellipsoid([1.0]), -1e-10 * J)
+    path = integrate_linearized(surf, np.array([1.0, 0.0]), 2 * np.pi, 1.5,
                                 tol=1e-12)
     assert 1e-10 < path.defect < 1e-8
-    assert path_max_defect(path) <= 1e-13
-    assert symplectic_defect(path.end_monodromy, J) <= 1e-13
     raw = path.sol(path.ts)[2:].T.reshape(-1, 2, 2)
-    for R, got in zip(raw, path.Rs):
-        assert np.max(np.abs(got - project_with_sqrtm(R, J))) <= 1e-12
+    assert np.array_equal(path.Rs, raw)
+    assert symplectic_defect(path.end_monodromy, J) <= 1e-13
+    assert np.max(np.abs(path.end_monodromy
+                         - project_with_sqrtm(raw[-1], J))) <= 1e-12

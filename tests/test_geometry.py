@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from charlab.errors import (ConstructionFailure, InvalidArgument)
-from charlab.geometry import (HamiltonianSpec, Hypersurface,
+from charlab.geometry import (HamiltonianSpec,
                               check_surface_invariants,
                               make_aux_function, make_ellipsoid,
                               make_perturbed_ellipsoid, spec_for_period,
@@ -205,6 +205,22 @@ class TestFenchel:
             1.0, np.linalg.norm(X, axis=1))
         assert np.max(err) <= 1e-8
 
+    def test_newton_passes_a_stall_of_the_residual(self):
+        # a row of the seed-221 Galerkin witness for the second orbit of
+        # configs/ellipsoid_2d.json: on the way to the solution H_K is barely
+        # convex, a residual-only backtracking stalls at residual 0.27, and
+        # the Armijo decrease of H_K(x) - x.y carries the solve through
+        from charlab.orbits import ellipsoid_catalog
+
+        surf = make_ellipsoid([1.0, 2.0**0.25])
+        spec = spec_for_period(surf, ellipsoid_catalog(surf)[1].prime_period,
+                               rng_seed=221)
+        y = np.array([[-207.25755025197637, -39.53640308351191,
+                       553.8242880367092, 78.69871369257069]])
+        _, X = spec.fenchel_batch(y)
+        assert np.linalg.norm(spec.hk_grad(X) - y) <= 1e-12 * np.linalg.norm(y)
+        assert np.min(np.linalg.eigvalsh(spec.hk_hess(X))) > 0.0
+
 
 def separate_gauge_hessian(surf, x):
     """The gauge Hessian of an ellipsoid or perturbed ellipsoid written as
@@ -244,29 +260,8 @@ def test_jet_is_bitwise_the_separate_callbacks(config):
     X = np.random.default_rng(13).normal(size=(513, surf.dim))
     g, H = surf.jet(X)
     assert np.array_equal(g, surf.gauge_grad(X))
-    assert np.array_equal(H, surf.gauge_hess(X))
     assert np.array_equal(H, separate_gauge_hessian(surf, X))
     for x, gx, Hx, jx in zip(X, g, H, surf.gauge(X)):
         g1, H1 = surf.jet(x)
         assert np.array_equal(g1, gx) and np.array_equal(H1, Hx)
         assert surf.gauge(x) == jx
-
-
-def test_three_callback_surface_gets_a_composed_jet():
-    base = make_ellipsoid([1.0, 1.3])
-    calls = []
-
-    def grad(x):
-        calls.append("grad")
-        return base.gauge_grad(x)
-
-    def hess(x):
-        calls.append("hess")
-        return base.gauge_hess(x)
-
-    custom = Hypersurface(base.dim_n, base.gauge, grad, hess, "custom")
-    x = np.array([0.3, -0.7, 0.2, 0.5])
-    g, H = custom.jet(x)
-    assert calls == ["grad", "hess"]
-    assert np.array_equal(g, base.gauge_grad(x))
-    assert np.array_equal(H, base.gauge_hess(x))

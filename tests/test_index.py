@@ -39,7 +39,7 @@ def synthetic_path(R_of_t, S_of_t, period, n):
 
     return SymplecticPath(ts=ts, Rs=Rs, end_monodromy=R_of_t(period),
                           period=period, defect=0.0, n=n, sol=sol,
-                          hess_along=S_of_t, x_of_t=lambda t: t)
+                          S_of_t=S_of_t)
 
 
 def rotation_path(omega, period, n=1):
@@ -239,16 +239,15 @@ class TestThreePlaneIndices:
 
 def test_identity_on_golden_ratio_ellipsoid():
     # a different irrational spectrum: squared radii (1, golden ratio)
-    from charlab.flow import GaugeField, IndexForm, integrate_linearized
+    from charlab.flow import integrate_linearized
     from charlab.geometry import make_ellipsoid
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     surf = make_ellipsoid([1.0, phi**0.5])
     from charlab.orbits import ellipsoid_catalog
     total = 0.0
     for orb in ellipsoid_catalog(surf):
-        path = integrate_linearized(GaugeField(surf), orb.trajectory.x0,
-                                    orb.prime_period, IndexForm(surf, 1.5),
-                                    tol=1e-12)
+        path = integrate_linearized(surf, orb.trajectory.x0,
+                                    orb.prime_period, 1.5, tol=1e-12)
         d = compute_orbit_index_data(orb.orbit_id, IndexComputer(path),
                                      m_max=8)
         total += 1.0 / d.mean_index      # even parity throughout: chi_hat = 1
@@ -272,14 +271,13 @@ class TestInvariantGates:
 def test_homogeneity_exponent_independence(ell2_bundle):
     # the index data must not depend on the exponent used for the
     # linearization (any value in (1, 2) gives the same path counts)
-    from charlab.flow import GaugeField, IndexForm, integrate_linearized
+    from charlab.flow import integrate_linearized
     surf = ell2_bundle.surface
     orb = ell2_bundle.orbits[0]
     ref = ell2_bundle.index_data["y1"]
     for alpha in (1.3, 1.7):
-        path = integrate_linearized(GaugeField(surf), orb.trajectory.x0,
-                                    orb.prime_period, IndexForm(surf, alpha),
-                                    tol=1e-12)
+        path = integrate_linearized(surf, orb.trajectory.x0,
+                                    orb.prime_period, alpha, tol=1e-12)
         data = compute_orbit_index_data("a", IndexComputer(path), m_max=10)
         assert all(data.index(m) == ref.index(m) for m in range(1, 11))
         assert all(data.nullity(m) == ref.nullity(m) for m in range(1, 11))
@@ -288,14 +286,13 @@ def test_homogeneity_exponent_independence(ell2_bundle):
 
 
 def test_scaling_invariance_of_mean_index(ell2_bundle):
-    from charlab.flow import GaugeField, IndexForm, integrate_linearized
+    from charlab.flow import integrate_linearized
     from charlab.geometry import make_ellipsoid
     lam = 2.0
     surf = make_ellipsoid([lam * 1.0, lam * 2.0**0.25])
     tau = 2 * np.pi * lam**2
-    path = integrate_linearized(GaugeField(surf),
-                                np.array([lam, 0.0, 0.0, 0.0]), tau,
-                                IndexForm(surf, 1.5), tol=1e-12)
+    path = integrate_linearized(surf, np.array([lam, 0.0, 0.0, 0.0]), tau,
+                                1.5, tol=1e-12)
     data = compute_orbit_index_data("s", IndexComputer(path), m_max=10)
     ref = ell2_bundle.index_data["y1"]
     assert abs(data.mean_index - ref.mean_index) <= 1e-8

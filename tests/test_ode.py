@@ -14,10 +14,10 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from charlab.errors import NumericFailure, SearchFailure
-from charlab.flow import GaugeField, IndexForm
 from charlab.geometry import Hypersurface, make_ellipsoid, surface_from_spec
 from charlab.ode import brentq, dop853, minimize_bounded
 from charlab.orbits import _closure_map, ellipsoid_catalog
+from charlab.sympl import standard_J
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True,
@@ -34,17 +34,19 @@ def config_orbits(name):
 
 
 def gauge_system(surface):
-    gf = GaugeField(surface)
-    return lambda t, x: gf.J @ gf.grad(x)
+    J = standard_J(surface.dim_n)
+    return lambda t, x: J @ surface.gauge_grad(x)
 
 
 def joint_system(surface):
     """The (x, R) system of ``integrate_linearized`` at alpha = 1.5."""
-    gf, S, d = GaugeField(surface), IndexForm(surface, 1.5), surface.dim
+    J, d = standard_J(surface.dim_n), surface.dim
 
     def rhs(t, y):
         x, R = y[:d], y[d:].reshape(d, d)
-        return np.concatenate([gf.J @ gf.grad(x), (gf.J @ S(x) @ R).ravel()])
+        g, H = surface.jet(x)
+        S = 0.5 * np.outer(g, g) + H
+        return np.concatenate([J @ g, (J @ S @ R).ravel()])
     return rhs
 
 
@@ -97,9 +99,13 @@ def test_dop853_tiny_step_is_a_named_failure():
 
 def test_closure_map_tiny_step_is_a_search_failure():
     # q' = q^2, p' = 0 from q = 1 leaves every bounded region at t = 1
+    def grad(x):
+        return np.array([0.0, -x[0]**2])
+
     surface = Hypersurface(
-        1, lambda x: 1.0, lambda x: np.array([0.0, -x[0]**2]),
-        lambda x: np.array([[0.0, 0.0], [-2.0 * x[0], 0.0]]), "custom")
+        1, lambda x: 1.0, grad,
+        lambda x: (grad(x), np.array([[0.0, 0.0], [-2.0 * x[0], 0.0]])),
+        "custom")
     with pytest.raises(SearchFailure, match="variational integration"):
         _closure_map(surface, np.array([1.0, 0.0]), 2.0, 1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 
 from charlab import orbits
 from charlab.errors import SearchFailure
-from charlab.flow import GaugeField, integrate_flow
+from charlab.flow import integrate_flow
 from charlab.geometry import make_ellipsoid, make_perturbed_ellipsoid
 from charlab.orbits import (ellipsoid_catalog, dedupe_orbits, find_orbits,
                             gate_orbit, load_registry, shoot_for_orbit,
@@ -81,9 +81,9 @@ def flow_solves(monkeypatch):
     """The end time of every ``integrate_flow`` call the orbit search makes."""
     ends = []
 
-    def counted(hamiltonian, x0, t_end, **kw):
+    def counted(surface, x0, t_end, **kw):
         ends.append(t_end)
-        return integrate_flow(hamiltonian, x0, t_end, **kw)
+        return integrate_flow(surface, x0, t_end, **kw)
 
     monkeypatch.setattr(orbits, "integrate_flow", counted)
     return ends
@@ -97,8 +97,8 @@ def test_shot_prime_orbit_takes_one_flow_solve(flow_solves):
     found = find_orbits(pert)
     assert flow_solves == [orb.prime_period for orb in found]
     for orb in found:
-        ref = integrate_flow(GaugeField(pert), orb.trajectory.x0,
-                             orb.prime_period, tol=1e-12)
+        ref = integrate_flow(pert, orb.trajectory.x0, orb.prime_period,
+                             tol=1e-12)
         assert np.array_equal(orb.trajectory.xs, ref.xs)
 
 
@@ -147,8 +147,8 @@ def test_custom_surface_needs_and_uses_seeds():
     from charlab.geometry import Hypersurface, check_surface_invariants
 
     base = make_ellipsoid([1.0, 2.0**0.25])
-    custom = Hypersurface(base.dim_n, base.gauge, base.gauge_grad,
-                          base.gauge_hess, "custom")
+    custom = Hypersurface(base.dim_n, base.gauge, base.gauge_grad, base.jet,
+                          "custom")
     check_surface_invariants(custom)
     with pytest.raises(InvalidArgument, match="seeds"):
         find_orbits(custom)

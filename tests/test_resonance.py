@@ -238,7 +238,7 @@ class TestSeries:
 
 def test_residual_not_worse_under_refinement():
     # halving the integrator tolerance must not increase the identity residual
-    from charlab.flow import GaugeField, IndexForm, integrate_linearized
+    from charlab.flow import integrate_linearized
     from charlab.geometry import make_ellipsoid
     from charlab.index import IndexComputer, compute_orbit_index_data
     from charlab.orbits import ellipsoid_catalog
@@ -249,8 +249,7 @@ def test_residual_not_worse_under_refinement():
         contribs = []
         for orb in ellipsoid_catalog(surface):
             path = integrate_linearized(
-                GaugeField(surface), orb.trajectory.x0, orb.prime_period,
-                IndexForm(surface, 1.5), tol=tol)
+                surface, orb.trajectory.x0, orb.prime_period, 1.5, tol=tol)
             d = compute_orbit_index_data(orb.orbit_id, IndexComputer(path),
                                          m_max=8)
             table = critical_type_numbers(d)
