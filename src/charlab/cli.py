@@ -15,9 +15,10 @@ Exit codes: 0 all gates passed and identity residual within tolerance;
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,78 +38,106 @@ from .resonance import (OrbitContribution, chi_partial_averages,
 
 _TWO_PI = 2.0 * np.pi
 
-_DEFAULT_TOLERANCES = {
-    "integrator": 1e-12,
-    "closure": 1e-8,
-    "angle_tol": 1e-7,
-    "q_max": 64,
-    "identity": 1e-6,
-}
-
-_DEFAULT_INDEX = {"m_max": 20, "alpha": 1.5}
-_DEFAULT_MORSE = {"enable": True, "N_list": [50, 100, 200]}
-_BLOCK_KEYS = {"tolerances": _DEFAULT_TOLERANCES, "index": _DEFAULT_INDEX,
-               "galerkin": {"enable", *(f.name for f in fields(gk.ReductionOptions))},
-               "morse": _DEFAULT_MORSE}
-_CONFIG_KEYS = {"surface", "out_dir", "seed", "stages", "k_tables", *_BLOCK_KEYS}
+ALL_STAGES = ("geometry", "orbits", "index", "resonance")
 
 
-def _number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+@dataclass(frozen=True)
+class _Required:
+    kind: str | None = None     # required only in a block of this kind
+
+
+def _number(v):     # json also reads NaN and Infinity
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _integer(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _boolean(v):
-    return isinstance(v, bool)
+def _list_of(test, least=0):
+    return lambda v: isinstance(v, list) and len(v) >= least and all(map(test, v))
 
 
-# key path -> (what its value must be, test); a galerkin null keeps the default
-_VALUE_KINDS = {
-    "seed": ("an integer", _integer),
-    "out_dir": ("a string", lambda v: isinstance(v, str)),
-    "stages": ("a list of strings",
-               lambda v: isinstance(v, list)
-               and all(isinstance(s, str) for s in v)),
-    **{f"tolerances.{k}": ("a number", _number) for k in _DEFAULT_TOLERANCES},
-    "tolerances.q_max": ("an integer", _integer),
-    "index.m_max": ("an integer", _integer),
-    "index.alpha": ("a number", _number),
-    **{f"galerkin.{f.name}": ("a number or null",
-                              lambda v: v is None or _number(v))
-       for f in fields(gk.ReductionOptions)},
-    "galerkin.mode_cut": ("an integer or null",
-                          lambda v: v is None or _integer(v)),
-    "galerkin.enable": ("true or false", _boolean),
-    "morse.enable": ("true or false", _boolean),
-    "k_tables": ("a file name or null", lambda v: v is None or isinstance(v, str)),
-    # the fields of each entry of the k_tables file
-    "k_tables.orbit_id": ("a string", lambda v: isinstance(v, str)),
-    "k_tables.m": ("an integer", _integer),
-    "k_tables.k": ("a list of integers",
-                   lambda v: isinstance(v, list) and all(map(_integer, v))),
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_FLAG = ("true or false", lambda v: isinstance(v, bool))
+_POSITIVE = ("a positive number", lambda v: _number(v) and v > 0)
+_COUNT = ("a positive integer", lambda v: _integer(v) and v > 0)
+_NUMBER_OR_NULL = ("a number or null", lambda v: v is None or _number(v))
+
+# The input format, one row per key path: (default, what the value must be,
+# test).  A path with sub-paths is a block, k_tables[] one entry of the
+# k_tables file; a null that passes its test keeps the default.
+_SCHEMA = {
+    "surface": (_Required(), "an object or a file name holding one", _OBJECT[1]),
+    "surface.kind": (_Required(), '"ellipsoid" or "perturbed_ellipsoid"',
+                     lambda v: v in ("ellipsoid", "perturbed_ellipsoid")),
+    "surface.radii": (_Required(), "a non-empty list of positive numbers",
+                      _list_of(_POSITIVE[1], least=1)),
+    "surface.perturbation": (_Required("perturbed_ellipsoid"), *_OBJECT),
+    "surface.perturbation.type": (_Required(), '"quartic"', lambda v: v == "quartic"),
+    "surface.perturbation.coeffs": (_Required(), "a list of numbers", _list_of(_number)),
+    "surface.perturbation.magnitude": (_Required(), "a number", _number),
+    "out_dir": ("out", *_STRING),
+    "seed": (0, "a non-negative integer", lambda v: _integer(v) and v >= 0),
+    "stages": (list(ALL_STAGES), f"a non-empty list of {', '.join(ALL_STAGES)}",
+               _list_of(lambda s: s in ALL_STAGES, least=1)),
+    "tolerances": ({}, *_OBJECT),
+    "tolerances.integrator": (1e-12, *_POSITIVE),
+    "tolerances.closure": (1e-8, *_POSITIVE),
+    "tolerances.angle_tol": (1e-7, *_POSITIVE),
+    "tolerances.q_max": (64, *_COUNT),
+    "tolerances.identity": (1e-6, *_POSITIVE),
+    "index": ({}, *_OBJECT),
+    "index.m_max": (20, *_COUNT),
+    "index.alpha": (1.5, "a number in (1, 2)", lambda v: _number(v) and 1 < v < 2),
+    "galerkin": ({}, *_OBJECT),
+    "galerkin.enable": (False, *_FLAG),
+    "galerkin.T": (1.0, *_NUMBER_OR_NULL),
+    "galerkin.ratio": (0.8, *_NUMBER_OR_NULL),
+    "galerkin.theta": (0.08, *_NUMBER_OR_NULL),
+    "galerkin.alpha": (1.92, *_NUMBER_OR_NULL),
+    "galerkin.K": (None, *_NUMBER_OR_NULL),
+    "galerkin.mode_cut": (None, "an integer or null", lambda v: v is None or _integer(v)),
+    "morse": ({}, *_OBJECT),
+    "morse.enable": (True, *_FLAG),
+    "morse.N_list": ([50, 100, 200], "a non-empty list of positive integers",
+                     _list_of(_COUNT[1], least=1)),
+    "k_tables": (None, "a file name or null", lambda v: v is None or isinstance(v, str)),
+    "k_tables[].orbit_id": (_Required(), *_STRING),
+    "k_tables[].m": (_Required(), "an integer", _integer),
+    "k_tables[].k": (_Required(), "a list of integers", _list_of(_integer)),
 }
 
-ALL_STAGES = ("geometry", "orbits", "index", "resonance")
 
-
-def _checked_keys(block, known, name: str = "") -> dict:
-    """``block`` itself; a key outside ``known``, or a value of the wrong
-    kind (``_VALUE_KINDS``), is rejected by its path."""
+def _checked(block, path: str = "") -> dict:
+    """The block at key path ``path`` (``""`` the whole config) with the
+    defaults of ``_SCHEMA`` filled in and its sub-blocks walked.  A block
+    that is not an object, an unknown or missing required key and a value
+    that fails its test are rejected by key path (bare in a k_tables entry)."""
     if not isinstance(block, dict):
-        raise InvalidArgument(f"config {name or 'file'} must be a JSON object")
-    for key, value in block.items():
-        path = f"{name}.{key}" if name else key
-        if key not in known:
-            raise InvalidArgument(f"unknown config key '{path}'; "
-                                  f"valid: {', '.join(sorted(known))}")
-        kind, ok = _VALUE_KINDS.get(path, ("", None))
-        if ok is not None and not ok(value):
-            raise InvalidArgument(f"config key '{path}' must be {kind}, "
-                                  f"got {value!r}")
-    return block
+        raise InvalidArgument(f"config {path or 'file'} must be a JSON object")
+    at = path + "." if path and not path.endswith("[]") else ""
+    keys = {p.rpartition(".")[2]: p for p in _SCHEMA if p.rpartition(".")[0] == path}
+    for key in block:
+        if key not in keys:
+            raise InvalidArgument(f"unknown config key '{at}{key}'; "
+                                  f"valid: {', '.join(sorted(keys))}")
+    checked = {}
+    for key, p in keys.items():
+        default, kind, ok = _SCHEMA[p]
+        value = block.get(key)
+        if key in block and not ok(value):
+            raise InvalidArgument(f"config key '{at}{key}' must be {kind}, got {value!r}")
+        if value is None and isinstance(default, _Required):
+            if default.kind in (None, block.get("kind")):
+                raise InvalidArgument(f"config missing required field '{at}{key}'")
+            continue
+        value = copy.deepcopy(default) if value is None else value
+        # only a block's test accepts an object
+        checked[key] = _checked(value, p) if isinstance(value, dict) else value
+    return checked
 
 
 def _read_json(path: Path, what: str):
@@ -125,100 +154,74 @@ def _read_json(path: Path, what: str):
 
 def _load_k_tables(path) -> dict:
     """orbit id -> {m: type vector} from a ``k_tables`` file, a JSON list of
-    objects with the ``k_tables.*`` fields of ``_VALUE_KINDS``; anything else
-    is rejected naming the file and the field."""
+    ``k_tables[]`` entries; anything else is rejected naming the file, the
+    entry and the field."""
     if path is None:
         return {}
-    entries = _read_json(Path(path), "config field k_tables")
+    entries = _read_json(path, "config field k_tables")
     if not isinstance(entries, list):
         raise InvalidArgument(f"config field k_tables: file {path} must "
                               f"hold a JSON list")
     tables = {}
-    for i, e in enumerate(entries):
-        for key in ("orbit_id", "m", "k"):
-            kind, ok = _VALUE_KINDS[f"k_tables.{key}"]
-            value = e.get(key) if isinstance(e, dict) else None
-            if not ok(value):
-                raise InvalidArgument(
-                    f"config field k_tables: file {path}, entry {i}: field "
-                    f"'{key}' must be {kind}, got {value!r}")
+    for i, entry in enumerate(entries):
+        try:
+            e = _checked(entry, "k_tables[]")
+        except InvalidArgument as err:
+            raise InvalidArgument(f"config field k_tables: file {path}, "
+                                  f"entry {i}: {err}") from None
         tables.setdefault(e["orbit_id"], {})[e["m"]] = e["k"]
     return tables
-
-
-def _reduction_options(block: dict) -> gk.ReductionOptions:
-    """The ``galerkin`` block without ``enable``; a null keeps the default."""
-    return gk.ReductionOptions(**{
-        k: int(v) if k == "mode_cut" else float(v)
-        for k, v in block.items() if k != "enable" and v is not None})
 
 
 @dataclass
 class RunConfig:
     surface_spec: dict
     out_dir: Path
-    seed: int = 0
-    stages: tuple = ALL_STAGES
-    tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
-    index_opts: dict = field(default_factory=lambda: dict(_DEFAULT_INDEX))
-    galerkin: gk.ReductionOptions = field(default_factory=gk.ReductionOptions)
-    galerkin_enable: bool = False
-    morse_opts: dict = field(default_factory=lambda: dict(_DEFAULT_MORSE))
-    k_tables: dict = field(default_factory=dict)
+    seed: int
+    stages: tuple
+    tolerances: dict
+    index_opts: dict
+    galerkin: gk.ReductionOptions
+    galerkin_enable: bool
+    morse_opts: dict
+    k_tables: dict
 
     @classmethod
     def load(cls, path, overrides=None):
+        """The config file ``path`` checked against ``_SCHEMA``, after the
+        ``overrides`` (``tol``, ``out_dir``, ``seed``, ``stages``; None or
+        empty keeps the file's) replace their keys, so flags are checked too."""
         path = Path(path)
         raw = _read_json(path, "config")
-        overrides = overrides or {}
-        _checked_keys(raw, _CONFIG_KEYS)
-        block = {name: _checked_keys(raw.get(name, {}), known, name)
-                 for name, known in _BLOCK_KEYS.items()}
-        surface = raw.get("surface")
-        if surface is None:
-            raise InvalidArgument("config missing required field 'surface'")
-        if isinstance(surface, str):
-            surface = _read_json(path.parent / surface, "config field surface")
-        if not isinstance(surface, dict):
-            raise InvalidArgument("config field 'surface' must be an object "
-                                  "or a file name")
-        need = ["radii"] + (["perturbation"] if surface.get("kind")
-                            == "perturbed_ellipsoid" else [])
-        for key in need:
-            if key not in surface:
-                raise InvalidArgument(f"config missing required field "
-                                      f"'surface.{key}'")
-        # k_tables, like a surface file, resolves against the config's
-        # directory; out_dir stays relative to the working directory
-        tables = raw.get("k_tables")
-        if tables is not None:
-            tables = path.parent / tables
-        tol = dict(_DEFAULT_TOLERANCES)
-        tol.update(block["tolerances"])
-        if overrides.get("tol") is not None:
-            tol["integrator"] = float(overrides["tol"])
-        cfg = cls(
-            surface_spec=surface,
-            out_dir=Path(overrides.get("out_dir") or raw.get("out_dir", "out")),
-            seed=int(overrides.get("seed") if overrides.get("seed") is not None
-                     else raw.get("seed", 0)),
-            stages=tuple(overrides.get("stages") or raw.get("stages", ALL_STAGES)),
-            tolerances=tol,
-            k_tables=_load_k_tables(tables),
-            galerkin=_reduction_options(block["galerkin"]),
-            galerkin_enable=bool(block["galerkin"].get("enable", False)),
-        )
-        cfg.index_opts.update(block["index"])
-        cfg.morse_opts.update(block["morse"])
-        for st in cfg.stages:
-            if st not in ALL_STAGES:
-                raise InvalidArgument(f"unknown stage {st!r}; valid: {ALL_STAGES}")
-        K, T = cfg.galerkin.K, cfg.galerkin.T
+        if isinstance(raw, dict):
+            overrides = overrides or {}
+            for key in ("out_dir", "seed", "stages"):
+                if overrides.get(key) not in (None, "", []):
+                    raw[key] = overrides[key]
+            tol = raw.setdefault("tolerances", {})
+            if overrides.get("tol") is not None and isinstance(tol, dict):
+                tol["integrator"] = overrides["tol"]
+            # a surface file, like k_tables, resolves against the config's
+            # directory; out_dir stays relative to the working directory
+            if isinstance(raw.get("surface"), str):
+                raw["surface"] = _read_json(path.parent / raw["surface"],
+                                            "config field surface")
+        block = _checked(raw)
+        enable = block["galerkin"].pop("enable")
+        opts = gk.ReductionOptions(**block["galerkin"])
+        K, T = opts.K, opts.T
         if K is not None and abs(K * T - _TWO_PI * round(K * T / _TWO_PI)) < 1e-6:
             raise InvalidArgument(
                 f"config field galerkin.K: K*T = {K * T} is within "
                 f"1e-6 of a multiple of 2*pi")
-        return cfg
+        tables = block["k_tables"]
+        return cls(
+            surface_spec=raw["surface"],    # as given: surface_check.json embeds it
+            out_dir=Path(block["out_dir"]), seed=block["seed"],
+            stages=tuple(block["stages"]), tolerances=block["tolerances"],
+            index_opts=block["index"], galerkin=opts, galerkin_enable=enable,
+            morse_opts=block["morse"],
+            k_tables=_load_k_tables(None if tables is None else path.parent / tables))
 
 
 def _dump(obj, path: Path):

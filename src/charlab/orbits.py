@@ -1,9 +1,7 @@
 """Prime closed characteristics: analytic catalogs, shooting, registry I/O.
 
 Periods are reported in the canonical clock of ``ydot = J grad j(y)`` (the
-normal normalised by grad j . y = 1 on the surface).  Under the squared-gauge
-flow ``H = j^2`` time runs twice as fast, so those periods are half the
-canonical ones.
+normal normalised by grad j . y = 1 on the surface).
 """
 
 from __future__ import annotations
@@ -33,10 +31,6 @@ class ClosedCharacteristic:
     provenance: str                       # analytic | shooting | galerkin
     rho: float | None = None              # gauge level of the loop-problem representative
     critical_value: float | None = None
-
-    @property
-    def period_under_squared_gauge(self) -> float:
-        return 0.5 * self.prime_period
 
     def samples(self):
         return self.trajectory.ts, self.trajectory.xs
@@ -94,19 +88,15 @@ def trajectory_distance(orbit_a: ClosedCharacteristic,
     return min(vals[i], float(best))
 
 
-def ellipsoid_catalog(surface, *, n_samples: int = 257,
+def ellipsoid_catalog(surface: Hypersurface, *, n_samples: int = 257,
                       rational_q_max: int = 32,
                       rational_tol: float = 1e-9) -> list:
     """The n planar circle orbits of an ellipsoid, sampled analytically.
 
-    Accepts an ellipsoid surface or the radii themselves.  Canonical prime
-    periods are 2 pi r_k^2 (pi r_k^2 under the squared-gauge clock).
-    Rationally dependent squared radii admit extra orbit families, so the
-    catalog warns that it is incomplete in that case.
+    Canonical prime periods are 2 pi r_k^2.  Rationally dependent squared
+    radii admit extra orbit families, so the catalog warns that it is
+    incomplete in that case.
     """
-    if not isinstance(surface, Hypersurface):
-        from .geometry import make_ellipsoid
-        surface = make_ellipsoid(surface)
     if surface.kind != "ellipsoid":
         raise InvalidArgument("catalog requires an ellipsoid surface")
     radii = np.asarray(surface.meta["radii"], dtype=float)

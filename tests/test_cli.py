@@ -4,16 +4,22 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charlab import geometry
-from charlab.cli import main
+from charlab.cli import _SCHEMA, main
+from charlab.galerkin import ReductionOptions
 from charlab.index import IndexComputer
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, name="cfg.json", **kw):
@@ -132,6 +138,8 @@ def test_stage_isolation(tmp_path):
     ({"tolerances": {"integrater": 1e-12}}, "tolerances.integrater"),
     ({"galerkin": {"mode_cutt": 12}}, "galerkin.mode_cutt"),
     ({"stage": ["geometry"]}, "stage"),
+    ({"surface": {"kind": "ellipsoid", "radii": [1.0], "colour": "red"}},
+     "surface.colour"),
 ])
 def test_unknown_config_key_rejected(tmp_path, capsys, extra, key_path):
     cfg_path = write_config(tmp_path, **extra)
@@ -140,18 +148,100 @@ def test_unknown_config_key_rejected(tmp_path, capsys, extra, key_path):
     assert not (tmp_path / "out" / "surface_check.json").exists()
 
 
+PERTURBATION = {"type": "quartic", "coeffs": [0.3, -0.2], "magnitude": 1e-4}
+
+
 @pytest.mark.parametrize("extra, key_path", [
     ({"galerkin": {"enable": True, "ratio": "0.7x"}}, "galerkin.ratio"),
     ({"index": {"m_max": "20", "alpha": 1.5}}, "index.m_max"),
     ({"out_dir": 5}, "out_dir"),
     ({"stages": 5}, "stages"),
+    # ranges: a negative seed, alpha outside (1, 2), no iterate to scan
+    ({"seed": -1}, "seed"),
+    (["--seed", "-1"], "seed"),
+    ({"index": {"m_max": 12, "alpha": 2.5}}, "index.alpha"),
+    ({"index": {"m_max": 12, "alpha": 2.0}}, "index.alpha"),
+    ({"index": {"m_max": 12, "alpha": 0.5}}, "index.alpha"),
+    ({"index": {"m_max": 0, "alpha": 1.5}}, "index.m_max"),
+    ({"stages": []}, "stages"),
+    ({"stages": ["geometry", "orbit"]}, "stages"),
+    (["--stages", "geometry,orbit"], "stages"),
+    # tolerances are positive, flags are checked like the keys they replace
+    ({"tolerances": {"closure": 0}}, "tolerances.closure"),
+    ({"tolerances": {"integrator": float("nan")}},
+     "tolerances.integrator"),
+    (["--tol", "0"], "tolerances.integrator"),
+    # values that ended in a traceback after the first reports were written
+    ({"morse": {"enable": True, "N_list": "abc"}}, "morse.N_list"),
+    ({"morse": {"enable": True, "N_list": []}}, "morse.N_list"),
+    ({"morse": {"enable": True, "N_list": [50, 100, "x"]}}, "morse.N_list"),
+    ({"morse": {"enable": True, "N_list": [50.5, 100]}}, "morse.N_list"),
+    ({"surface": {"kind": "ellipsoid", "radii": "abc"}}, "surface.radii"),
+    ({"surface": {"kind": "perturbed_ellipsoid", "radii": [1.0],
+                  "perturbation": 5}}, "surface.perturbation"),
+    ({"surface": {"kind": "perturbed_ellipsoid", "radii": [1.0],
+                  "perturbation": {**PERTURBATION, "magnitude": "x"}}},
+     "surface.perturbation.magnitude"),
 ])
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys, extra,
                                              key_path):
-    cfg_path = write_config(tmp_path, **extra)
-    assert main(["run", str(cfg_path)]) == 1
+    # extra: keys of the config, or a list of command-line flags
+    flags = extra if isinstance(extra, list) else []
+    cfg_path = write_config(tmp_path, **({} if flags else extra))
+    assert main(["run", str(cfg_path), *flags]) == 1
     assert f"'{key_path}'" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "surface_check.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+# scalars of every JSON kind, with the words and numbers a config uses, and
+# shallow lists and objects of them
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 300) | st.integers()
+           | st.floats(-3.0, 3.0) | st.floats(allow_nan=False,
+                                            allow_infinity=False)
+           | st.text(max_size=4) | st.sampled_from(
+               ["ellipsoid", "perturbed_ellipsoid", "quartic", "geometry"]))
+JSON_VALUES = (SCALARS | st.lists(SCALARS, max_size=5)
+               | st.dictionaries(st.text(max_size=4), SCALARS, max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(config=st.sampled_from(sorted((ROOT / "configs").glob("*.json"))),
+       key_path=st.sampled_from(sorted(_SCHEMA)), value=JSON_VALUES)
+def test_any_value_at_any_key_path_is_run_or_named(config, key_path, value):
+    # a shipped config with one key path set to an arbitrary JSON value
+    # either runs or is rejected with a named cause, never a traceback
+    cfg = json.loads(config.read_text())
+    *blocks, key = key_path.split(".")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if blocks == ["k_tables[]"]:
+            entry = {"orbit_id": "y1", "m": 2, "k": [0, 1, 0], key: value}
+            (tmp / "tables.json").write_text(json.dumps([entry]))
+            cfg["k_tables"] = "tables.json"
+        else:
+            block = cfg
+            for name in blocks:
+                if not isinstance(block.get(name), dict):
+                    block[name] = {}
+                block = block[name]
+            block[key] = value
+        (tmp / "cfg.json").write_text(json.dumps(cfg))
+        code = main(["run", str(tmp / "cfg.json"), "--stages", "geometry",
+                     "--out-dir", str(tmp / "out")])
+    assert code in (0, 1)
+
+
+def test_readme_configuration_table_lists_every_schema_key():
+    section = (ROOT / "README.md").read_text().split("### Configuration")[1]
+    rows = re.findall(r"^\| `([^`]+)` \|", section.split("\n### ")[0], re.M)
+    assert sorted(rows) == sorted(_SCHEMA)
+
+
+def test_schema_galerkin_defaults_are_the_reduction_defaults():
+    # a config without a galerkin block reduces like ReductionOptions()
+    defaults = {path.split(".")[1]: entry[0] for path, entry in _SCHEMA.items()
+                if path.startswith("galerkin.") and path != "galerkin.enable"}
+    assert ReductionOptions(**defaults) == ReductionOptions()
 
 
 def test_galerkin_options_reach_every_reduction(tmp_path, monkeypatch):

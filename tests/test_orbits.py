@@ -19,9 +19,8 @@ def test_circle_catalog_periods():
     surf = make_ellipsoid([1.0])
     cat = ellipsoid_catalog(surf)
     assert len(cat) == 1
-    # canonical clock 2 pi r^2; squared-gauge clock is half of that
+    # canonical clock 2 pi r^2
     assert cat[0].prime_period == pytest.approx(2 * np.pi, rel=1e-14)
-    assert cat[0].period_under_squared_gauge == pytest.approx(np.pi, rel=1e-14)
 
 
 def test_catalog_period_ratio():
