@@ -3,9 +3,11 @@
 ``charlab run <config.json>`` executes the pipeline stages
 (geometry -> orbits -> index -> resonance); each stage writes flat files
 into the output directory and later stages consume only those files.
-``charlab audit <config.json>`` re-examines a finished run (symplecticity,
-dimension-shift bookkeeping across a K grid, iterated index bounds,
-convexity probes) and writes one file per audit.
+``charlab audit <config.json>`` re-examines a finished run: it reads the
+orbit registry and the index report, integrates each orbit afresh and
+checks them (symplecticity, the stored iterated indices against an m-period
+scan, dimension-shift bookkeeping across a K grid, convexity probes), and
+writes one file per audit.
 
 Exit codes: 0 all gates passed and identity residual within tolerance;
 2 identity evaluated but conditional (incomplete degenerate data);
@@ -27,7 +29,7 @@ from . import galerkin as gk
 from .errors import (CharlabError, ConsistencyFailure, InvalidArgument,
                      NumericFailure)
 from .flow import integrate_linearized, path_max_defect
-from .geometry import surface_from_spec, check_surface_invariants
+from .geometry import check_surface_invariants, lattice_gap, surface_from_spec
 from .index import (IndexComputer, IterationData, compute_orbit_index_data,
                     extend_records, index_data_from_iteration)
 from .orbits import (find_orbits, gate_orbit, load_registry, write_registry,
@@ -35,8 +37,6 @@ from .orbits import (find_orbits, gate_orbit, load_registry, write_registry,
 from .resonance import (OrbitContribution, chi_partial_averages,
                         critical_type_numbers, euler_characteristics,
                         identity_check, series_ladder, write_series_csv)
-
-_TWO_PI = 2.0 * np.pi
 
 ALL_STAGES = ("geometry", "orbits", "index", "resonance")
 
@@ -94,7 +94,8 @@ _SCHEMA = {
     "index.alpha": (1.5, "a number in (1, 2)", lambda v: _number(v) and 1 < v < 2),
     "galerkin": ({}, *_OBJECT),
     "galerkin.enable": (False, *_FLAG),
-    "galerkin.T": (1.0, *_NUMBER_OR_NULL),
+    "galerkin.T": (1.0, "a positive number or null",
+                   lambda v: v is None or _POSITIVE[1](v)),
     "galerkin.ratio": (0.8, *_NUMBER_OR_NULL),
     "galerkin.theta": (0.08, *_NUMBER_OR_NULL),
     "galerkin.alpha": (1.92, *_NUMBER_OR_NULL),
@@ -210,7 +211,7 @@ class RunConfig:
         enable = block["galerkin"].pop("enable")
         opts = gk.ReductionOptions(**block["galerkin"])
         K, T = opts.K, opts.T
-        if K is not None and abs(K * T - _TWO_PI * round(K * T / _TWO_PI)) < 1e-6:
+        if K is not None and lattice_gap(K, T) < 1e-6:
             raise InvalidArgument(
                 f"config field galerkin.K: K*T = {K * T} is within "
                 f"1e-6 of a multiple of 2*pi")
@@ -236,16 +237,23 @@ def _orbit_paths(surface, orbits, cfg):
             for orb in orbits}
 
 
-def stage_geometry(cfg) -> dict:
-    surface = surface_from_spec(cfg.surface_spec)
+def _registry(cfg, surface) -> list:
+    """The orbits of the run's ``orbits.json``."""
+    reg = cfg.out_dir / "orbits.json"
+    if not reg.exists():
+        raise InvalidArgument(
+            f"missing orbit registry {reg}; run the orbits stage first")
+    return load_registry(reg, surface)
+
+
+def stage_geometry(cfg, surface):
     rng = np.random.default_rng(cfg.seed)
     report = check_surface_invariants(surface, rng=rng)
     _dump({"surface": cfg.surface_spec, "checks": report},
           cfg.out_dir / "surface_check.json")
-    return {"surface": surface, "report": report}
 
 
-def stage_orbits(cfg, surface) -> list:
+def stage_orbits(cfg, surface):
     tol = cfg.tolerances
     orbits = find_orbits(surface, tol=tol["closure"] * 1e-2,
                          int_tol=tol["integrator"])
@@ -258,7 +266,6 @@ def stage_orbits(cfg, surface) -> list:
     if cfg.galerkin_enable:
         extra["galerkin"] = _galerkin_cross_validate(cfg, surface, orbits)
     write_registry(orbits, cfg.out_dir / "orbits.json", extra=extra)
-    return orbits
 
 
 def _galerkin_cross_validate(cfg, surface, orbits) -> dict:
@@ -279,13 +286,6 @@ def _galerkin_cross_validate(cfg, surface, orbits) -> dict:
             "rho": info["rho"],
         }
     return out
-
-
-def _index_data(cfg, orbit_id, comp):
-    tol = cfg.tolerances
-    return compute_orbit_index_data(
-        orbit_id, comp, m_max=int(cfg.index_opts["m_max"]),
-        q_max=int(tol["q_max"]), angle_tol=tol["angle_tol"])
 
 
 def _check_k_periodic(d):
@@ -315,13 +315,17 @@ def _index_summary(d) -> dict:
     }
 
 
-def compute_index_stage(cfg, surface, orbits) -> tuple:
-    """Index data per orbit and the index report, without writing it."""
+def stage_index(cfg, surface):
+    orbits = _registry(cfg, surface)
     paths = _orbit_paths(surface, orbits, cfg)
-    data = {}
+    tol = cfg.tolerances
     report = {"orbits": {}}
     for orb in orbits:
-        d = _index_data(cfg, orb.orbit_id, IndexComputer(paths[orb.orbit_id]))
+        path = paths[orb.orbit_id]
+        d = compute_orbit_index_data(
+            orb.orbit_id, IndexComputer(path),
+            m_max=int(cfg.index_opts["m_max"]), q_max=int(tol["q_max"]),
+            angle_tol=tol["angle_tol"])
         _check_k_periodic(d)
         report["orbits"][orb.orbit_id] = {
             "records": [[r.iterate_m, r.index_i, r.nullity_nu]
@@ -329,20 +333,80 @@ def compute_index_stage(cfg, surface, orbits) -> tuple:
             "iteration": {**d.iteration.to_json(),
                           "prime_period": orb.prime_period},
             **_index_summary(d),
-            "symplecticity_defect": paths[orb.orbit_id].defect,
+            "symplecticity_defect": path.defect,
             "method": d.method,
         }
-        data[orb.orbit_id] = d
-    return data, report
-
-
-def stage_index(cfg, surface, orbits) -> dict:
-    data, report = compute_index_stage(cfg, surface, orbits)
     _dump(report, cfg.out_dir / "index_report.json")
+
+
+def stage_index_from_files(cfg, surface, orbits):
+    """Index data rebuilt from the iteration blocks of the stored report,
+    which must name the registry's orbits and prime periods and whose
+    records, mean index fields and K(y) the rebuilt data must reproduce;
+    nothing is integrated or scanned, and the report is left untouched."""
+    report_path = cfg.out_dir / "index_report.json"
+    if not report_path.exists():
+        raise InvalidArgument(
+            f"missing {report_path}; run the index stage first")
+    try:
+        stored = json.loads(report_path.read_text())["orbits"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConsistencyFailure(f"{report_path.name} unreadable ({e!r}); "
+                                 f"rerun the index stage")
+    ids = sorted(orb.orbit_id for orb in orbits)
+    if sorted(stored) != ids:
+        raise ConsistencyFailure(
+            f"{report_path.name} lists orbits {sorted(stored)}, the registry "
+            f"{ids}; rerun the index stage")
+    data = {}
+    for orb in orbits:
+        oid, block = orb.orbit_id, stored[orb.orbit_id]
+
+        def stale(key, what):
+            return ConsistencyFailure(
+                f"{report_path.name}, orbit {oid}, field '{key}': {what}; "
+                f"rerun the index stage")
+
+        it = block.get("iteration")
+        if not isinstance(it, dict):
+            raise stale("iteration", "missing (written by an older charlab)")
+        if it.get("prime_period") != orb.prime_period:
+            raise stale("iteration.prime_period",
+                        f"{it.get('prime_period')!r}, the registry has "
+                        f"{orb.prime_period!r}")
+        try:
+            iteration = IterationData.from_json(it, surface.dim_n)
+        except (KeyError, TypeError, ValueError) as e:
+            raise stale("iteration", f"malformed ({e!r})")
+        d = index_data_from_iteration(oid, iteration,
+                                      m_max=int(cfg.index_opts["m_max"]),
+                                      q_max=int(cfg.tolerances["q_max"]))
+        _check_k_periodic(d)
+        rows = block.get("records")
+        if not isinstance(rows, list):
+            raise stale("records", "missing")
+        extend_records(d, len(rows))
+        if len(rows) != len(d.records):
+            raise stale("records", f"{len(rows)} rows stored, "
+                                   f"{len(d.records)} rebuilt from the "
+                                   f"iteration block")
+        for row, r in zip(rows, d.records):
+            if row != [r.iterate_m, r.index_i, r.nullity_nu]:
+                raise stale("records", f"{row!r} stored, (i, nu) = "
+                            f"({r.index_i}, {r.nullity_nu}) at iterate "
+                            f"{r.iterate_m} rebuilt from the iteration block")
+        for key, value in _index_summary(d).items():
+            if block.get(key) != value:
+                raise stale(key, f"{block.get(key)!r} stored, {value!r} "
+                                 f"rebuilt from the iteration block")
+        data[oid] = d
     return data
 
 
-def stage_resonance(cfg, surface, orbits, index_data) -> tuple:
+def stage_resonance(cfg, surface) -> int:
+    """Write the resonance report and the run summary; the run's exit code."""
+    orbits = _registry(cfg, surface)
+    index_data = stage_index_from_files(cfg, surface, orbits)
     contributions = []
     tables = {}
     per_orbit = {}
@@ -393,113 +457,33 @@ def stage_resonance(cfg, surface, orbits, index_data) -> tuple:
             }
             write_series_csv(rungs[-1]["series"], cfg.out_dir / "morse_series.csv")
     _dump(payload, cfg.out_dir / "resonance_report.json")
-    return report, payload
+    tolerance = cfg.tolerances["identity"]
+    _dump({"identity_residual": report.S_plus_residual,
+           "conditional": report.conditional, "tolerance": tolerance},
+          cfg.out_dir / "run_summary.json")
+    if report.conditional:
+        return 2
+    return 1 if report.S_plus_residual > tolerance else 0
 
 
 def run(cfg: RunConfig) -> int:
+    """Run the selected stages in pipeline order on one surface; each reads
+    what it needs from the files of the stages before it."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    surface = None
-    orbits = None
-    index_data = None
-    report = None
-    if "geometry" in cfg.stages:
-        surface = stage_geometry(cfg)["surface"]
-    else:
-        surface = surface_from_spec(cfg.surface_spec)
-    if "orbits" in cfg.stages:
-        orbits = stage_orbits(cfg, surface)
-    elif {"index", "resonance"} & set(cfg.stages):
-        reg = cfg.out_dir / "orbits.json"
-        if not reg.exists():
-            raise InvalidArgument(
-                f"missing orbit registry {reg}; run the orbits stage first")
-        orbits = load_registry(reg, surface)
-    if "index" in cfg.stages:
-        index_data = stage_index(cfg, surface, orbits)
-    elif "resonance" in cfg.stages:
-        index_data = stage_index_from_files(cfg, surface, orbits)
-    if "resonance" in cfg.stages:
-        report, _ = stage_resonance(cfg, surface, orbits, index_data)
-        summary = {
-            "identity_residual": report.S_plus_residual,
-            "conditional": report.conditional,
-            "tolerance": cfg.tolerances["identity"],
-        }
-        _dump(summary, cfg.out_dir / "run_summary.json")
-        if report.conditional:
-            return 2
-        if report.S_plus_residual > cfg.tolerances["identity"]:
-            return 1
-    return 0
-
-
-def stage_index_from_files(cfg, surface, orbits):
-    """Index data rebuilt from the iteration blocks of the stored report,
-    which must name the registry's orbits and prime periods and whose
-    records, mean index fields and K(y) the rebuilt data must reproduce;
-    nothing is integrated or scanned, and the report is left untouched."""
-    report_path = cfg.out_dir / "index_report.json"
-    if not report_path.exists():
-        raise InvalidArgument(
-            f"missing {report_path}; run the index stage first")
-    try:
-        stored = json.loads(report_path.read_text())["orbits"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConsistencyFailure(f"{report_path.name} unreadable ({e!r}); "
-                                 f"rerun the index stage")
-    ids = sorted(orb.orbit_id for orb in orbits)
-    if sorted(stored) != ids:
-        raise ConsistencyFailure(
-            f"{report_path.name} lists orbits {sorted(stored)}, the registry "
-            f"{ids}; rerun the index stage")
-    data = {}
-    for orb in orbits:
-        oid, block = orb.orbit_id, stored[orb.orbit_id]
-
-        def stale(key, what):
-            return ConsistencyFailure(
-                f"{report_path.name}, orbit {oid}, field '{key}': {what}; "
-                f"rerun the index stage")
-
-        it = block.get("iteration")
-        if not isinstance(it, dict):
-            raise stale("iteration", "missing (written by an older charlab)")
-        if it.get("prime_period") != orb.prime_period:
-            raise stale("iteration.prime_period",
-                        f"{it.get('prime_period')!r}, the registry has "
-                        f"{orb.prime_period!r}")
-        try:
-            iteration = IterationData.from_json(it, surface.dim_n)
-        except (KeyError, TypeError, ValueError) as e:
-            raise stale("iteration", f"malformed ({e!r})")
-        d = index_data_from_iteration(oid, iteration,
-                                      m_max=int(cfg.index_opts["m_max"]),
-                                      q_max=int(cfg.tolerances["q_max"]))
-        _check_k_periodic(d)
-        rows = block.get("records")
-        if not isinstance(rows, list):
-            raise stale("records", "missing")
-        extend_records(d, len(rows))
-        for row, r in zip(rows, d.records):
-            if row != [r.iterate_m, r.index_i, r.nullity_nu]:
-                raise stale("records", f"{row!r} stored, (i, nu) = "
-                            f"({r.index_i}, {r.nullity_nu}) at iterate "
-                            f"{r.iterate_m} rebuilt from the iteration block")
-        for key, value in _index_summary(d).items():
-            if block.get(key) != value:
-                raise stale(key, f"{block.get(key)!r} stored, {value!r} "
-                                 f"rebuilt from the iteration block")
-        data[oid] = d
-    return data
+    surface = surface_from_spec(cfg.surface_spec)
+    stages = {"geometry": stage_geometry, "orbits": stage_orbits,
+              "index": stage_index, "resonance": stage_resonance}
+    code = 0
+    for name in ALL_STAGES:
+        if name in cfg.stages:
+            code = stages[name](cfg, surface) or 0
+    return code
 
 
 def audit(cfg: RunConfig) -> int:
-    reg = cfg.out_dir / "orbits.json"
-    if not reg.exists():
-        raise InvalidArgument(f"missing orbit registry {reg}; run the "
-                              f"pipeline first")
     surface = surface_from_spec(cfg.surface_spec)
-    orbits = load_registry(reg, surface)
+    orbits = _registry(cfg, surface)
+    index_data = stage_index_from_files(cfg, surface, orbits)
     paths = _orbit_paths(surface, orbits, cfg)
     ok = True
 
@@ -509,16 +493,14 @@ def audit(cfg: RunConfig) -> int:
     _dump({"max_defect_per_orbit": sympl, "gate": 1e-8, "pass": sympl_ok},
           cfg.out_dir / "audit_symplecticity.json")
 
-    # the iteration formula against the segment scanner over all m periods
+    # the stored formula values against the segment scanner over all m
+    # periods of the freshly integrated path
     m_ref = int(cfg.index_opts["m_max"])
-    index_data = {}
     bott = {}
     bott_ok = True
     for orb in orbits:
-        # the reference scan reuses this computer's R(t) grid and its
-        # first-period omega = 1 scan
         scanner = IndexComputer(paths[orb.orbit_id])
-        d = index_data[orb.orbit_id] = _index_data(cfg, orb.orbit_id, scanner)
+        d = index_data[orb.orbit_id]
         extend_records(d, 100)
         worst = max(abs(r.index_i - r.iterate_m * d.mean_index)
                     for r in d.records)
@@ -529,7 +511,7 @@ def audit(cfg: RunConfig) -> int:
             if ref != (d.index(m), d.nullity(m)):
                 mismatches.append([m, d.index(m), d.nullity(m), *ref])
                 print(f"charlab audit: orbit {orb.orbit_id}, iterate {m}: "
-                      f"iteration formula gives (i, nu) = "
+                      f"index_report.json has (i, nu) = "
                       f"({d.index(m)}, {d.nullity(m)}), segment scanner "
                       f"{ref}", file=sys.stderr)
         bott[orb.orbit_id] = {"max_deviation": worst,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgument, SearchFailure
+from .errors import InvalidArgument, NumericFailure, SearchFailure
 from .flow import Trajectory
 from .geometry import HamiltonianSpec, Hypersurface, spec_for_period
 from .index import dimension_shift
@@ -285,6 +285,9 @@ def reduced_critical_point(surface: Hypersurface, orbit: ClosedCharacteristic,
     """
     spec = opts.spec(surface, m * orbit.prime_period, seed=seed)
     omega = estimate_dual_modulus(spec, np.random.default_rng(seed))
+    if not omega > 0:
+        raise NumericFailure(f"sampled dual modulus {omega!r} is not positive",
+                             T=opts.T, K=spec.K)
     need = int(np.ceil((2.0 / omega) * opts.T / _TWO_PI)) + 2
     system = build_galerkin(spec, opts.mode_cut or need + 8, omega=omega)
     vec = system.newton_critical(seed_from_orbit(system, orbit, m=m))

@@ -448,8 +448,7 @@ class HamiltonianSpec:
         if self.eps_a * self.period_T >= _TWO_PI:
             raise InvalidArgument(
                 f"eps_a*T must be below 2*pi, got {self.eps_a * self.period_T}")
-        frac = self.K * self.period_T / _TWO_PI
-        if abs(self.K * self.period_T - _TWO_PI * round(frac)) < 1e-6:
+        if lattice_gap(self.K, self.period_T) < 1e-6:
             raise InvalidArgument(
                 f"K*T = {self.K*self.period_T} is within 1e-6 of 2*pi*Z")
         level = self.cutoff_A / self.a
@@ -628,10 +627,18 @@ class HamiltonianSpec:
                 raise ConstructionFailure("gradient vanishes in the blend shell")
 
 
+def lattice_gap(K: float, period_T: float) -> float:
+    """Distance of K*T from the lattice 2*pi*Z; a K*T that overflows is
+    rejected."""
+    KT = K * period_T
+    if not np.isfinite(KT):
+        raise InvalidArgument(f"K*T = {K!r} * {period_T!r} overflows a float")
+    return abs(KT - _TWO_PI * round(KT / _TWO_PI))
+
+
 def _off_resonance(K: float, period_T: float, gap: float = 1e-2) -> float:
     """Nudge K away from the 2*pi/T lattice by at least ``gap`` in K*T."""
-    frac = K * period_T / _TWO_PI
-    if abs(K * period_T - _TWO_PI * round(frac)) < gap:
+    if lattice_gap(K, period_T) < gap:
         K += 2.0 * gap / period_T
     return K
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -391,7 +392,8 @@ def test_audit_defect_sees_an_injected_skew(tmp_path, monkeypatch):
         return replace(surface, jet=jet)
 
     cfg_path = write_config(tmp_path)
-    assert main(["run", str(cfg_path), "--stages", "geometry,orbits"]) == 0
+    assert main(["run", str(cfg_path), "--stages",
+                 "geometry,orbits,index"]) == 0
     monkeypatch.setattr(cli, "surface_from_spec", skewed)
     assert main(["audit", str(cfg_path)]) == 1
     out = tmp_path / "out"
@@ -401,6 +403,90 @@ def test_audit_defect_sees_an_injected_skew(tmp_path, monkeypatch):
     for name in ("audit_bott.json", "audit_k_shift.json",
                  "audit_convexity.json"):
         assert json.loads((out / name).read_text())["pass"]
+
+
+AUDITS = ("audit_symplecticity.json", "audit_bott.json", "audit_k_shift.json",
+          "audit_convexity.json")
+
+
+def test_audit_fails_a_tampered_index_report(tmp_path, capsys):
+    # the audit checks the stored records, not a recomputation of its own
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    report = tmp_path / "out" / "index_report.json"
+    data = json.loads(report.read_text())
+    data["orbits"]["y1"]["records"][0] = [1, 99, 7]
+    data["orbits"]["y1"]["mean_index_bar"] = 99.0
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["audit", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "index_report.json" in err and "orbit y1" in err, err
+    assert "'records'" in err, err
+
+
+def test_audit_requires_the_index_report(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path), "--stages", "geometry,orbits"]) == 0
+    capsys.readouterr()
+    assert main(["audit", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "index_report.json" in err and "index stage" in err, err
+
+
+def test_audit_reads_the_index_data_it_checks(tmp_path, monkeypatch):
+    # after a full run the audit's index data comes from index_report.json
+    # alone: with the index computer gone its reports stay the same
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    assert main(["audit", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    first = {f: (out / f).read_bytes() for f in AUDITS}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the audit recomputed the index data")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("charlab") and hasattr(mod,
+                                                  "compute_orbit_index_data"):
+            monkeypatch.setattr(mod, "compute_orbit_index_data", forbidden)
+    assert main(["audit", str(cfg_path)]) == 0
+    assert {f: (out / f).read_bytes() for f in AUDITS} == first
+
+
+def test_full_run_reads_the_index_report_once(tmp_path, monkeypatch):
+    # the resonance stage takes its index data from the file the index
+    # stage wrote, through the one checked loader
+    from charlab import cli
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loader(*args, **kwargs)
+
+    loader = cli.stage_index_from_files
+    monkeypatch.setattr(cli, "stage_index_from_files", counted)
+    assert main(["run", str(write_config(tmp_path))]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("galerkin, cause", [
+    ({"T": 0}, "'galerkin.T'"),
+    ({"T": 1e-300}, "dual modulus"),
+    ({"T": 1e300}, "K*T"),
+    ({"T": 1e200, "K": 1e200}, "K*T"),
+])
+def test_degenerate_galerkin_block_is_named(tmp_path, capsys, galerkin,
+                                            cause):
+    # each of these ended in a traceback from the reduction's arithmetic
+    cfg_path = write_config(tmp_path, galerkin={"enable": True, **galerkin})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # overflow on the way
+        code = main(["run", str(cfg_path), "--stages", "geometry,orbits"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert cause in err and "Traceback" not in err, err
 
 
 RESUMED = ("resonance_report.json", "morse_series.csv", "run_summary.json")
@@ -514,6 +600,14 @@ def _wrong_slope(orbit):
     orbit["slope_estimate"] = 99.0
 
 
+def _truncated_records(orbit):
+    orbit["records"] = orbit["records"][:3]
+
+
+def _no_records(orbit):
+    orbit["records"] = []
+
+
 @pytest.mark.parametrize("tamper, field", [
     (_tamper_records, "'records'"),
     (_stale_period, "'iteration.prime_period'"),
@@ -521,6 +615,8 @@ def _wrong_slope(orbit):
     (_wrong_exact_mean, "'mean_index_exact'"),
     (_wrong_mean_bar, "'mean_index_bar'"),
     (_wrong_slope, "'slope_estimate'"),
+    (_truncated_records, "'records'"),
+    (_no_records, "'records'"),
 ])
 def test_resume_rejects_a_report_it_cannot_trust(tmp_path, capsys, tamper,
                                                  field):

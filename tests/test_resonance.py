@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charlab.errors import IncompleteInput, TableRuleViolation
 from charlab.index import IndexRecord, OrbitIndexData
-from charlab.resonance import (OrbitContribution,
+from charlab.resonance import (RULES, OrbitContribution,
                                chi_partial_averages, critical_type_numbers,
                                euler_characteristics, identity_check,
                                morse_series, series_ladder,
@@ -89,6 +90,55 @@ class TestRules:
         with pytest.raises(TableRuleViolation) as e:
             critical_type_numbers(data, {1: [0, 1, 0], 3: [1, 0, 0]})
         assert e.value.rule == "periodicity"
+
+
+def broken_rules(k, nu):
+    """Whether the vector ``k`` at nullity ``nu`` breaks each rule, every
+    rule stated on its own: slots 0 .. nu-1 carry the vector, 0 and nu-1
+    are its ends, the slots between them its interior."""
+    nonzero = {slot for slot, v in enumerate(k) if v != 0}
+    ends = {0, nu - 1}
+    return {
+        "nonnegative-integer": min(k) < 0,
+        "support": max(nonzero, default=0) > nu - 1,
+        "end-values-binary": any(k[end] > 1 for end in ends),
+        "bottom-exclusive": k[0] == 1 and bool(nonzero - {0}),
+        "top-exclusive": nu > 1 and k[nu - 1] == 1 and bool(nonzero - {nu - 1}),
+        "interior-excludes-ends": (bool(nonzero - ends)
+                                   and bool(nonzero & ends)),
+        "single-slot-low-nullity": nu <= 3 and len(nonzero) > 1,
+        "periodicity": False,   # a rule across iterates, not of one vector
+    }
+
+
+@st.composite
+def type_vectors(draw):
+    # entries in [-1, 3], mostly 0 and 1 and mostly 0 above slot nu-1, so
+    # that the draws reach past the first rules
+    n = draw(st.integers(1, 3))
+    nu = draw(st.integers(1, 2 * n - 1))
+    entry = st.just(0) | st.integers(0, 1) | st.integers(-1, 3)
+    k = draw(st.lists(entry, min_size=nu, max_size=nu))
+    rest = 2 * n - 1 - nu
+    return k + draw(st.lists(st.just(0) | entry, min_size=rest,
+                             max_size=rest)), nu, n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn=type_vectors())
+def test_a_type_vector_fails_the_first_rule_it_breaks(drawn):
+    # validate_type_vector returns a vector that breaks no rule and names
+    # the first rule, in RULES order, of one that breaks some
+    k, nu, n = drawn
+    broken = broken_rules(k, nu)
+    assert sorted(broken) == sorted(RULES)
+    first = next((rule for rule in RULES if broken[rule]), None)
+    if first is None:
+        assert validate_type_vector(k, nullity=nu, dim_n=n) == k
+    else:
+        with pytest.raises(TableRuleViolation) as e:
+            validate_type_vector(k, nullity=nu, dim_n=n)
+        assert e.value.rule == first
 
 
 class TestAutoFill:
