@@ -17,6 +17,7 @@ by ``grad j(y) . y = 1`` on the surface.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -322,8 +323,10 @@ class AuxFunction:
         return float(t2 * ((self.theta - lf) / (s - lf))**(1.0 / self.tail_kappa))
 
 
+@functools.lru_cache(maxsize=None)
 def make_aux_function(theta: float, alpha: float) -> AuxFunction:
-    """Construct the radial profile for given band parameters.
+    """Construct the radial profile for given band parameters (built once
+    per pair; ``AuxFunction`` is frozen).
 
     Feasibility requires alpha in (2(1-theta), 2): the germ must carry
     weighted mass (1-theta)/alpha between the bounds forced by a monotone

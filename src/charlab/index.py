@@ -22,7 +22,8 @@ A one-period index counts regular crossings of
 (omega = 1 only), each interior crossing the signature of S(t) on
 ker(R(t) - omega I), the endpoint minus the negative count of that form.
 The same scan over all m periods (``IndexComputer.index_pair``) is the
-reference ``charlab audit`` checks the formula against.  The arc average of
+reference ``charlab audit`` checks the formula against on surfaces other
+than ellipsoids, where Ekeland's closed form is.  The arc average of
 i_omega is the mean index, at eigenvalue accuracy (~1e-12); the slope fit
 over the integer table is kept as a certified cross-check.
 """

@@ -29,8 +29,6 @@ RULES = (
     "end-values-binary",
     "bottom-exclusive",
     "top-exclusive",
-    "interior-excludes-ends",
-    "single-slot-low-nullity",
     "periodicity",
 )
 
@@ -61,14 +59,7 @@ def validate_type_vector(k, nullity: int, dim_n: int):
     if top >= 1 and k[top] == 1 and any(v != 0 for v in k[:top]):
         raise TableRuleViolation(
             "top-exclusive", f"slot nu-1 set forces all lower slots to 0: {k}")
-    if any(v >= 1 for v in k[1:top]) and (k[0] != 0 or k[top] != 0):
-        raise TableRuleViolation(
-            "interior-excludes-ends",
-            f"a non-zero interior slot forces slots 0 and nu-1 to 0: {k}")
-    if nullity <= 3 and sum(1 for v in k if v != 0) > 1:
-        raise TableRuleViolation(
-            "single-slot-low-nullity",
-            f"at most one non-zero slot allowed when nu <= 3: {k}")
+    # so a non-zero interior slot has zero ends, and nu <= 3 one non-zero slot
     return k
 
 

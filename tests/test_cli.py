@@ -425,6 +425,123 @@ def test_audit_fails_a_tampered_index_report(tmp_path, capsys):
     assert "'records'" in err, err
 
 
+ELL2 = {"kind": "ellipsoid", "radii": [1.0, 2.0**0.25]}
+
+
+def test_audit_fails_a_consistent_but_wrong_iteration_block(tmp_path, capsys):
+    # i_omega lowered by 1 on every arc of y1, with the records and the mean
+    # index fields rebuilt from it: the loader's cross-checks all hold, and
+    # only the audit's witness sees that i(y^2) is one too low
+    from charlab import cli
+    from charlab.index import IterationData, index_data_from_iteration
+
+    cfg_path = write_config(tmp_path, surface=ELL2, morse={"enable": False})
+    assert main(["run", str(cfg_path)]) == 0
+    report = tmp_path / "out" / "index_report.json"
+    data = json.loads(report.read_text())
+    block = data["orbits"]["y1"]
+    it = block["iteration"]
+    it["arc_table"] = [[lo, hi, i - 1] for lo, hi, i in it["arc_table"]]
+    d = index_data_from_iteration("y1", IterationData.from_json(it, 2),
+                                  m_max=len(block["records"]))
+    block["records"] = [[r.iterate_m, r.index_i, r.nullity_nu]
+                        for r in d.records]
+    block.update(cli._index_summary(d))
+    report.write_text(json.dumps(data))
+    cfg = cli.RunConfig.load(cfg_path)
+    surface = geometry.surface_from_spec(cfg.surface_spec)
+    loaded = cli.stage_index_from_files(cfg, surface, cli._registry(cfg, surface))
+    assert loaded["y1"].index(2) == block["records"][1][1]
+    capsys.readouterr()
+    assert main(["audit", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "orbit y1, iterate 2:" in err and "ekeland-closed-form" in err, err
+    assert "orbit y2" not in err, err
+    bott = json.loads((tmp_path / "out" / "audit_bott.json").read_text())
+    assert not bott["pass"]
+    assert bott["orbits"]["y1"]["witness_mismatches"][0][0] == 2
+    assert bott["orbits"]["y2"]["witness_mismatches"] == []
+
+
+def test_ellipsoid_audit_runs_no_segment_scan(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, surface=ELL2)
+    assert main(["run", str(cfg_path)]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ellipsoid audit scanned m periods")
+
+    monkeypatch.setattr(IndexComputer, "index_pair", forbidden)
+    assert main(["audit", str(cfg_path)]) == 0
+    bott = json.loads((tmp_path / "out" / "audit_bott.json").read_text())
+    assert {o["witness"] for o in bott["orbits"].values()} \
+        == {"ekeland-closed-form"}
+    assert {o["witness_m_max"] for o in bott["orbits"].values()} == {100}
+
+
+def _flipped_krein_sign(index):
+    step = index._krein_step
+    return "_krein_step", lambda *a: None if step(*a) is None else -step(*a)
+
+
+def _third_iterate_off_by_two(index):
+    # +2 keeps the index parity, so the run's K-periodicity gate passes
+    records = index._records
+
+    def shifted(orbit_id, it, m_from, m_upto):
+        out = records(orbit_id, it, m_from, m_upto)
+        for r in out:
+            r.index_i += 2 * (r.iterate_m == 3)
+        return out
+    return "_records", shifted
+
+
+@pytest.mark.parametrize("mutant, surface, first", [
+    (_flipped_krein_sign, ELL2, "orbit y1, iterate 2:"),
+    (_third_iterate_off_by_two, {"kind": "ellipsoid", "radii": [1.0]},
+     "orbit y1, iterate 3:"),
+])
+def test_audit_fails_a_mutated_index_engine(tmp_path, capsys, monkeypatch,
+                                            mutant, surface, first):
+    # the mutant computes both the stored report and the audit's index data
+    from charlab import index
+    monkeypatch.setattr(index, *mutant(index))
+    cfg_path = write_config(tmp_path, surface=surface, morse={"enable": False})
+    main(["run", str(cfg_path), "--stages", "geometry,orbits,index"])
+    capsys.readouterr()
+    assert main(["audit", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"charlab audit: {first}"), err
+    assert "ekeland-closed-form" in err.splitlines()[0], err
+
+
+def test_audit_names_an_ellipsoid_orbit_on_no_axis(tmp_path, capsys):
+    # the registry's period 2 pi is no axis period of the audited radii
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    cfg_path = write_config(tmp_path, surface={"kind": "ellipsoid",
+                                               "radii": [1.001]})
+    capsys.readouterr()
+    assert main(["audit", str(cfg_path)]) == 1
+    assert "orbit y1: prime period" in capsys.readouterr().err
+    bott = json.loads((tmp_path / "out" / "audit_bott.json").read_text())
+    assert bott["pass"] is False
+    assert "no axis period" in bott["orbits"]["y1"]["witness_failure"]
+
+
+def test_perturbed_audit_keeps_the_segment_scanner(tmp_path):
+    cfg = json.loads((ROOT / "configs" / "perturbed_2d.json").read_text())
+    cfg_path = write_config(tmp_path, surface=cfg["surface"],
+                            index={"m_max": 6, "alpha": 1.5})
+    assert main(["run", str(cfg_path), "--stages",
+                 "geometry,orbits,index"]) == 0
+    assert main(["audit", str(cfg_path)]) == 0
+    bott = json.loads((tmp_path / "out" / "audit_bott.json").read_text())
+    for orbit in bott["orbits"].values():
+        assert orbit["witness"] == "segment-scanner"
+        assert orbit["witness_m_max"] == 6
+        assert orbit["witness_mismatches"] == []
+
+
 def test_audit_requires_the_index_report(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     assert main(["run", str(cfg_path), "--stages", "geometry,orbits"]) == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from charlab.cli import bott_witness
 from charlab.errors import InvariantViolation, NumericFailure
 from charlab.flow import SymplecticPath
 from charlab.index import (IndexComputer, IterationData,
@@ -502,3 +503,26 @@ def test_iteration_data_round_trips_through_json(tied_root_bundle):
         text = json.dumps(d.iteration.to_json())
         back = IterationData.from_json(json.loads(text), d.dim_n)
         assert back == d.iteration
+
+
+def test_ekeland_closed_form_equals_the_iteration_formula(
+        circle_bundle, ell2_bundle, ell3_bundle, tied_root_bundle):
+    # the audit's ellipsoid witness against the formula, m <= 100; on radii
+    # [1, sqrt 2], m q_j is an integer for y1's even iterates and for every
+    # iterate of y2, where the closed form takes its resonant branch
+    tol = {"closure": 1e-8, "angle_tol": 1e-7}
+    for bundle in (circle_bundle, ell2_bundle, ell3_bundle, tied_root_bundle):
+        for orb in bundle.orbits:
+            name, m_max, pair = bott_witness(bundle.surface, orb, None, tol, 20)
+            assert (name, m_max) == ("ekeland-closed-form", 100)
+            index, nullity = bundle.index_data[orb.orbit_id] \
+                .iteration.iterate_table(1, 100)
+            for m in range(1, 101):
+                assert pair(m) == (index[m - 1], nullity[m - 1]), \
+                    (orb.orbit_id, m)
+    nullity = {orb.orbit_id: bott_witness(tied_root_bundle.surface, orb,
+                                          None, tol, 20)[2](4)[1]
+               for orb in tied_root_bundle.orbits}
+    assert nullity == {"y1": 3, "y2": 3}
+    y1 = tied_root_bundle.index_data["y1"].iteration.iterate_table(1, 100)[1]
+    assert list(y1) == [1, 3] * 50

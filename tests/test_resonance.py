@@ -50,14 +50,14 @@ class TestRules:
         # nu = 5 (n = 3): interior slots may exceed 1; ends must then vanish
         with pytest.raises(TableRuleViolation) as e:
             validate_type_vector([1, 0, 2, 0, 0], nullity=5, dim_n=3)
-        assert e.value.rule in ("bottom-exclusive", "interior-excludes-ends")
+        assert e.value.rule == "bottom-exclusive"
         ok = validate_type_vector([0, 0, 2, 0, 0], nullity=5, dim_n=3)
         assert ok == [0, 0, 2, 0, 0]
 
     def test_single_slot_low_nullity(self):
         with pytest.raises(TableRuleViolation) as e:
             validate_type_vector([0, 1, 1, 0, 0], nullity=3, dim_n=3)
-        assert e.value.rule in ("top-exclusive", "single-slot-low-nullity")
+        assert e.value.rule == "top-exclusive"
 
     def test_negative_rejected(self):
         with pytest.raises(TableRuleViolation) as e:
@@ -95,7 +95,8 @@ class TestRules:
 def broken_rules(k, nu):
     """Whether the vector ``k`` at nullity ``nu`` breaks each rule, every
     rule stated on its own: slots 0 .. nu-1 carry the vector, 0 and nu-1
-    are its ends, the slots between them its interior."""
+    are its ends, the slots between them its interior.  The last two
+    entries are conditions the rules imply without a rule of their own."""
     nonzero = {slot for slot, v in enumerate(k) if v != 0}
     ends = {0, nu - 1}
     return {
@@ -104,11 +105,14 @@ def broken_rules(k, nu):
         "end-values-binary": any(k[end] > 1 for end in ends),
         "bottom-exclusive": k[0] == 1 and bool(nonzero - {0}),
         "top-exclusive": nu > 1 and k[nu - 1] == 1 and bool(nonzero - {nu - 1}),
+        "periodicity": False,   # a rule across iterates, not of one vector
         "interior-excludes-ends": (bool(nonzero - ends)
                                    and bool(nonzero & ends)),
         "single-slot-low-nullity": nu <= 3 and len(nonzero) > 1,
-        "periodicity": False,   # a rule across iterates, not of one vector
     }
+
+
+IMPLIED = ("interior-excludes-ends", "single-slot-low-nullity")
 
 
 @st.composite
@@ -131,8 +135,11 @@ def test_a_type_vector_fails_the_first_rule_it_breaks(drawn):
     # the first rule, in RULES order, of one that breaks some
     k, nu, n = drawn
     broken = broken_rules(k, nu)
-    assert sorted(broken) == sorted(RULES)
+    assert sorted(broken) == sorted(RULES + IMPLIED)
     first = next((rule for rule in RULES if broken[rule]), None)
+    # a vector that breaks an implied condition breaks a rule of one vector
+    if any(broken[c] for c in IMPLIED):
+        assert first not in (None, "periodicity")
     if first is None:
         assert validate_type_vector(k, nullity=nu, dim_n=n) == k
     else:
