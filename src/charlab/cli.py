@@ -239,12 +239,22 @@ def _orbit_paths(surface, orbits, cfg):
 
 
 def _registry(cfg, surface) -> list:
-    """The orbits of the run's ``orbits.json``."""
+    """The orbits of the run's ``orbits.json``, each on the configured
+    surface: max |j(x) - 1| over its samples within ``closure``."""
     reg = cfg.out_dir / "orbits.json"
     if not reg.exists():
         raise InvalidArgument(
             f"missing orbit registry {reg}; run the orbits stage first")
-    return load_registry(reg, surface)
+    orbits = load_registry(reg, surface)
+    closure = cfg.tolerances["closure"]
+    for orb in orbits:
+        dev = float(np.max(np.abs(surface.gauge(orb.trajectory.xs) - 1.0)))
+        if not dev <= closure:
+            raise ConsistencyFailure(
+                f"{reg.name}, orbit {orb.orbit_id}: samples leave the "
+                f"configured surface by {dev!r} in the gauge (closure "
+                f"{closure}); rerun the orbits stage")
+    return orbits
 
 
 def stage_geometry(cfg, surface):
@@ -504,14 +514,13 @@ def bott_witness(surface, orb, path, tolerances, m_max):
             f"axis period 2 pi r_k^2 within {tolerances['closure']}")
     q = np.delete(sq[axes[0]] / sq, axes[0])
     gap = tolerances["angle_tol"] / (2 * np.pi)
-
-    def pair(m):
-        x = m * q
-        whole = np.abs(x - np.round(x)) <= gap
-        steps = np.where(whole, np.round(x) - 1, np.floor(x))
-        return 2 * m - 2 + 2 * int(steps.sum()), 1 + 2 * int(whole.sum())
-
-    return "ekeland-closed-form", 100, pair
+    m = np.arange(1, 101)
+    x = m[:, None] * q                  # all iterates in one pass
+    whole = np.abs(x - np.round(x)) <= gap
+    steps = np.where(whole, np.round(x) - 1, np.floor(x)).sum(axis=1)
+    pairs = [(2 * int(k) - 2 + 2 * int(s), 1 + 2 * int(w))
+             for k, s, w in zip(m, steps, whole.sum(axis=1))]
+    return "ekeland-closed-form", 100, lambda k: pairs[k - 1]
 
 
 def audit(cfg: RunConfig) -> int:
@@ -563,14 +572,16 @@ def audit(cfg: RunConfig) -> int:
     ok &= bott_ok
     _dump({"orbits": bott, "pass": bott_ok}, cfg.out_dir / "audit_bott.json")
 
-    opts = cfg.galerkin
-    kshift = {}
+    # one Hamiltonian per orbit at the auto-selected K, whatever galerkin.K says
+    auto = replace(cfg.galerkin, K=None)
+    kshift, specs = {}, []
     kshift_ok = True
     audit_orbits = orbits if surface.dim_n <= 2 else orbits[:1]
     for orb in audit_orbits:
         d = index_data[orb.orbit_id]
-        grid = gk.suggest_K_grid(surface, orb.prime_period, opts, seed=cfg.seed)
-        chk = gk.k_shift_audit(surface, orb, grid, opts, seed=cfg.seed,
+        spec = auto.spec(surface, orb.prime_period, seed=cfg.seed)
+        specs.append(spec)
+        chk = gk.k_shift_audit(spec, orb, gk.suggest_K_grid(spec), seed=cfg.seed,
                                path_index=d.index(1), path_nullity=d.nullity(1))
         values = {repr(K): v for K, v in zip(chk.K_values[:3],
                                              chk.critical_values[:3])}
@@ -593,9 +604,7 @@ def audit(cfg: RunConfig) -> int:
           cfg.out_dir / "audit_k_shift.json")
 
     rng = np.random.default_rng(cfg.seed)
-    # at the auto-selected K, whatever galerkin.K says
-    spec = replace(opts, K=None).spec(surface, orbits[0].prime_period,
-                                      seed=cfg.seed)
+    spec = specs[0]     # the first orbit's
     U = rng.normal(size=(10000, surface.dim)) * 3.0
     V = rng.normal(size=(10000, surface.dim)) * 3.0
     lhs = np.sum((spec.hk_grad(U) - spec.hk_grad(V)) * (U - V), axis=1)

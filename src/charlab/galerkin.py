@@ -20,12 +20,17 @@ functional whose Morse index and nullity at a critical point match those of
 Psi.  Critical points are located by a bordered Newton iteration (the border
 removes the time-shift circle direction); this finds exactly the critical
 points of psi by the reduction's critical-point correspondence.
+
+Each loop's dual is solved once: value, gradient and Hessian at one loop
+share the solve.  The loop Hessian is block Toeplitz in the modes, read off
+the DFTs of the pointwise dual Hessian; the K-shift audit re-convexifies one
+Hamiltonian per orbit (``HamiltonianSpec.with_K``) along its K grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,8 +54,8 @@ def estimate_dual_modulus(spec, rng) -> float:
     scale = 10.0 * (1.0 + spec.K)
     U = rng.normal(size=(400, spec.surface.dim)) * scale
     V = U + rng.normal(size=U.shape) * (0.1 * scale)
-    _, XU = spec.fenchel_batch(U)
-    _, XV = spec.fenchel_batch(V)
+    _, X = spec.fenchel_batch(np.vstack([U, V]))    # rows solve independently
+    XU, XV = X[:len(U)], X[len(U):]
     num = np.sum((XU - XV) * (U - V), axis=1)
     den = np.sum((U - V)**2, axis=1)
     sampled = float(np.min(num / den))
@@ -68,6 +73,7 @@ class GalerkinSystem:
     freqs: np.ndarray              # integer mode numbers, fft order, active only
     in_G: np.ndarray               # boolean mask on active modes
     n: int
+    _dual: tuple = field(default=(None,), init=False, repr=False)  # last solve
 
     # ---- representation helpers -------------------------------------------
     @property
@@ -110,6 +116,14 @@ class GalerkinSystem:
         return self.x_from_z(self.grid_z_from_coeffs(self.coeffs_from_vec(vec)))
 
     # ---- the functional -----------------------------------------------------
+    def dual_solve(self, vec: np.ndarray):
+        """(H*, its gradient) on the grid loop of ``vec``.  The last loop's
+        solve is kept, so value, gradient and Hessian at one loop share it."""
+        key = vec.tobytes()
+        if self._dual[0] != key:
+            self._dual = (key, *self.spec.fenchel_batch(self.grid_x(vec)))
+        return self._dual[1:]
+
     def _mk_multipliers(self) -> np.ndarray:
         T = self.spec.period_T
         return _TWO_PI * self.freqs / T + self.spec.K
@@ -120,8 +134,7 @@ class GalerkinSystem:
         lam = self._mk_multipliers()
         quad = -0.5 * (T / self.n_grid**2) * float(
             np.sum(np.abs(C)**2 / lam[:, None]))
-        X = self.grid_x(vec)
-        vals, _ = self.spec.fenchel_batch(X)
+        vals, _ = self.dual_solve(vec)
         return quad + (T / self.n_grid) * float(np.sum(vals))
 
     def gradient(self, vec: np.ndarray) -> np.ndarray:
@@ -129,42 +142,33 @@ class GalerkinSystem:
         T = self.spec.period_T
         C = self.coeffs_from_vec(vec)
         lam = self._mk_multipliers()
-        X = self.grid_x(vec)
-        _, Xstar = self.spec.fenchel_batch(X)
+        _, Xstar = self.dual_solve(vec)
         ghat = self.coeffs_from_grid_z(self.z_from_x(Xstar)) - C / lam[:, None]
         return (T / self.n_grid**2) * self.vec_from_coeffs(ghat)
 
     def hessian(self, vec: np.ndarray) -> np.ndarray:
-        """Assembled Hessian of Psi in vec coordinates."""
-        T = self.spec.period_T
+        """Assembled Hessian of Psi in vec coordinates: W = H_K''(x*)^-1 maps
+        z = q + i p to A z + B conj(z), so mode a of a real (imaginary)
+        coefficient reaches mode b through A^(f_b - f_a) + B^(f_b + f_a)
+        (times i, with -), ^ the DFT over the grid: block Toeplitz."""
+        T, N, n = self.spec.period_T, self.n_grid, self.n
         lam = self._mk_multipliers()
-        X = self.grid_x(vec)
-        _, Xstar = self.spec.fenchel_batch(X)
+        _, Xstar = self.dual_solve(vec)
         W = np.linalg.inv(self.spec.hk_hess(Xstar))     # dual Hessian, pointwise
-        dim = self.dim_vec
-        half = dim // 2
-        # all basis columns at once: delta grids for unit Re/Im coefficients
-        phase = np.exp(2j * np.pi * np.outer(self.freqs, np.arange(self.n_grid))
-                       / self.n_grid) / self.n_grid     # (n_active, n_grid)
-        cols_z = np.zeros((dim, self.n_grid, self.n), dtype=complex)
-        for a in range(self.n_active):
-            for j in range(self.n):
-                c = a * self.n + j
-                cols_z[c, :, j] = phase[a]
-                cols_z[half + c, :, j] = 1j * phase[a]
-        cols_x = np.concatenate([cols_z.real, cols_z.imag], axis=-1)
-        Wcols = np.einsum("mij,cmj->cmi", W, cols_x)
-        wz = Wcols[..., :self.n] + 1j * Wcols[..., self.n:]
-        what = np.fft.fft(wz, axis=1)[:, self.freqs % self.n_grid, :]
-        re = what.real.reshape(dim, half)
-        im = what.imag.reshape(dim, half)
-        Hmat = np.concatenate([re, im], axis=1).T * (T / self.n_grid**2)
+        qq, qp, pq, pp = W[:, :n, :n], W[:, :n, n:], W[:, n:, :n], W[:, n:, n:]
+        A = np.fft.fft(0.5 * ((qq + pp) + 1j * (pq - qp)), axis=0)
+        B = np.fft.fft(0.5 * ((qq - pp) + 1j * (pq + qp)), axis=0)
+        f = self.freqs
+        P = A[(f[:, None] - f[None, :]) % N]            # [b, a, row j', col j]
+        Q = B[(f[:, None] + f[None, :]) % N]
+        half = self.dim_vec // 2
+        S = (P + Q).transpose(0, 2, 1, 3).reshape(half, half)
+        D = (P - Q).transpose(0, 2, 1, 3).reshape(half, half)
+        Hmat = np.block([[S.real, -D.imag], [S.imag, D.real]]) * (T / N**3)
         # -M_K diagonal part
-        dvals = np.repeat(-1.0 / lam, self.n)
-        diag = np.concatenate([dvals, dvals]) * (T / self.n_grid**2)
-        Hmat[np.arange(dim), np.arange(dim)] += diag
-        Hmat = 0.5 * (Hmat + Hmat.T)
-        return Hmat
+        dvals = np.repeat(-1.0 / lam, n)
+        Hmat[np.diag_indices(2 * half)] += np.concatenate([dvals, dvals]) * (T / N**2)
+        return 0.5 * (Hmat + Hmat.T)
 
     # ---- inner problem and the reduced functional ---------------------------
     # ---- critical points -----------------------------------------------------
@@ -277,21 +281,26 @@ class ReductionOptions:
 
 def reduced_critical_point(surface: Hypersurface, orbit: ClosedCharacteristic,
                            opts: ReductionOptions, *, seed: int, m: int = 1):
-    """The critical loop of the reduced functional at the m-th iterate.
-
-    Builds the Hamiltonian for period m * tau, the reduction at the sampled
-    dual modulus, and runs the bordered Newton from the orbit's own loop.
-    Returns (spec, system, vec).
-    """
+    """``critical_loop`` for the Hamiltonian ``opts`` builds for period
+    m * tau; returns (spec, system, vec)."""
     spec = opts.spec(surface, m * orbit.prime_period, seed=seed)
+    return (spec, *critical_loop(spec, orbit, opts.mode_cut, seed=seed, m=m))
+
+
+def critical_loop(spec: HamiltonianSpec, orbit: ClosedCharacteristic,
+                  mode_cut: int | None = None, *, seed: int, m: int = 1):
+    """The reduction of ``spec`` at the sampled dual modulus, and the bordered
+    Newton's critical loop from the orbit's own m-th iterate.  ``mode_cut``
+    None is the smallest cut holding the threshold set of G, plus 8 modes.
+    Returns (system, vec).
+    """
     omega = estimate_dual_modulus(spec, np.random.default_rng(seed))
     if not omega > 0:
         raise NumericFailure(f"sampled dual modulus {omega!r} is not positive",
-                             T=opts.T, K=spec.K)
-    need = int(np.ceil((2.0 / omega) * opts.T / _TWO_PI)) + 2
-    system = build_galerkin(spec, opts.mode_cut or need + 8, omega=omega)
-    vec = system.newton_critical(seed_from_orbit(system, orbit, m=m))
-    return spec, system, vec
+                             T=spec.period_T, K=spec.K)
+    need = int(np.ceil((2.0 / omega) * spec.period_T / _TWO_PI)) + 2
+    system = build_galerkin(spec, mode_cut or need + 8, omega=omega)
+    return system, system.newton_critical(seed_from_orbit(system, orbit, m=m))
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +380,18 @@ def critical_value_formula(spec: HamiltonianSpec, rho: float) -> float:
 # K-shift audit
 
 
-def suggest_K_grid(surface: Hypersurface, tau_m: float, opts: ReductionOptions,
-                   *, seed: int, n_points: int = 5) -> list:
-    """A K grid starting at the auto-convexity floor and spanning at least one
-    2 pi / T multiple (so the dimension shift d(K) jumps inside the grid)."""
-    spec = replace(opts, K=None).spec(surface, tau_m, seed=seed)
-    step = _TWO_PI / opts.T
+def suggest_K_grid(spec: HamiltonianSpec, n_points: int = 5) -> list:
+    """A K grid starting at ``spec``'s K (the auto-convexity floor in the
+    audit) and spanning at least one 2 pi / T multiple (so the dimension
+    shift d(K) jumps inside the grid)."""
+    T = spec.period_T
+    step = _TWO_PI / T
     offsets = np.linspace(0.0, 1.25 * step, n_points)
     grid = []
     for off in offsets:
         K = spec.K + off
-        frac = K * opts.T / _TWO_PI
-        if abs(K * opts.T - _TWO_PI * round(frac)) < 1e-2:
+        frac = K * T / _TWO_PI
+        if abs(K * T - _TWO_PI * round(frac)) < 1e-2:
             K += 0.05 * step
         grid.append(float(K))
     return grid
@@ -403,26 +412,25 @@ class KShiftCheck:
     consistent: bool
 
 
-def k_shift_audit(surface: Hypersurface, orbit: ClosedCharacteristic,
-                  K_values, opts: ReductionOptions, *, seed: int,
-                  iterate_m: int = 1, path_index: int = 0,
-                  path_nullity: int = 1) -> KShiftCheck:
+def k_shift_audit(spec: HamiltonianSpec, orbit: ClosedCharacteristic,
+                  K_values, *, seed: int, iterate_m: int = 1,
+                  path_index: int = 0, path_nullity: int = 1) -> KShiftCheck:
     """Morse data of the reduced functional across a K grid.
 
-    Verifies that the Morse index minus d(K) = 2n(floor(KT/2pi)+1) is
-    constant across the grid and equals the path index i(y^m), and that the
-    nullity is constant and matches the path nullity.  Each K gets its own
-    mode cut (``opts.mode_cut`` is ignored): a cut that fits one K can be
-    too small at a larger one.
+    ``spec`` is the Hamiltonian for period iterate_m * tau; each K of the
+    grid convexifies its K-free parts afresh (``with_K``).  Verifies that
+    the Morse index minus d(K) = 2n(floor(KT/2pi)+1) is constant across the
+    grid and equals the path index i(y^m), and that the nullity is constant
+    and matches the path nullity.  Each K gets its own mode cut: a cut that
+    fits one K can be too small at a larger one.
     """
     K_values = [float(K) for K in K_values]
     d_list, morse_list, null_list, shifted, values = [], [], [], [], []
     for K in K_values:
-        _, system, vec = reduced_critical_point(
-            surface, orbit, replace(opts, K=K, mode_cut=None), seed=seed,
-            m=iterate_m)
+        system, vec = critical_loop(spec.with_K(K), orbit, seed=seed,
+                                    m=iterate_m)
         morse, nullity, _ = system.morse_data(vec)
-        d = dimension_shift(K, opts.T, surface.dim_n)
+        d = dimension_shift(K, spec.period_T, spec.surface.dim_n)
         d_list.append(d)
         morse_list.append(morse)
         null_list.append(nullity)

@@ -17,6 +17,7 @@ by ``grad j(y) . y = 1`` on the surface.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -243,6 +244,7 @@ class AuxFunction:
     c: float
     knots: tuple
     germ_ratio: tuple          # ((t_lo, t_hi, Polynomial), ...)
+    germ_dratio: tuple         # germ_ratio's pieces differentiated
     germ_phi: tuple            # ((t_lo, t_hi, Polynomial), ...)
     tail_floor: float          # limit of phi'(t)/t at infinity
     tail_kappa: float
@@ -270,9 +272,9 @@ class AuxFunction:
         germ = t < t1
         band = (t >= t1) & (t <= t2)
         tail = t > t2
-        for lo, hi, poly in self.germ_ratio:
+        for lo, hi, poly in self.germ_dratio:
             m = germ & (t >= lo) & (t < hi)
-            out[m] = poly.deriv()(t[m])
+            out[m] = poly(t[m])
         out[band] = ((1.0 - self.theta) * (self.alpha - 2.0)
                      * t[band]**(self.alpha - 3.0))
         lf, kap = self.tail_floor, self.tail_kappa
@@ -388,6 +390,8 @@ def make_aux_function(theta: float, alpha: float) -> AuxFunction:
 
     aux = AuxFunction(theta=theta, alpha=alpha, c=c, knots=(1.0, t2),
                       germ_ratio=tuple(ratio_pieces),
+                      germ_dratio=tuple((lo, hi, poly.deriv())
+                                        for lo, hi, poly in ratio_pieces),
                       germ_phi=tuple(phi_pieces),
                       tail_floor=tail_floor, tail_kappa=kappa)
 
@@ -433,14 +437,16 @@ class HamiltonianSpec:
     plus the K|x|^2/2 convexification and its Fenchel dual.
 
     The blend between the two regimes is a C^3 step in the gauge level
-    between r_A (where a*phi = cutoff_A) and 2 r_A.
+    between r_A (where a*phi = cutoff_A) and 2 r_A.  The K-free parts (r_A,
+    a sample cloud over the modeled region and its Hessian) are built once;
+    ``K = None`` picks K from that Hessian's least eigenvalue.
     """
 
     surface: Hypersurface
     aux: AuxFunction
     a: float
     period_T: float
-    K: float
+    K: float | None
     eps_a: float
     cutoff_A: float
     rng_seed: int = 0
@@ -451,9 +457,6 @@ class HamiltonianSpec:
         if self.eps_a * self.period_T >= _TWO_PI:
             raise InvalidArgument(
                 f"eps_a*T must be below 2*pi, got {self.eps_a * self.period_T}")
-        if lattice_gap(self.K, self.period_T) < 1e-6:
-            raise InvalidArgument(
-                f"K*T = {self.K*self.period_T} is within 1e-6 of 2*pi*Z")
         level = self.cutoff_A / self.a
         if level <= self.aux.phi(1e-3):
             raise InvalidArgument("cutoff_A too small: blend would start at the origin")
@@ -466,26 +469,41 @@ class HamiltonianSpec:
                           xtol=1e-14)
         self.r_B = 2.0 * self.r_A
         self.J = standard_J(self.surface.dim_n)
-        self._run_construction_checks()
+        X = self._sample_cloud(np.random.default_rng(self.rng_seed))
+        self._cloud_hess = self.hess(X)
+        eigs = np.linalg.eigvalsh(self._cloud_hess)
+        self.hess_sup = float(np.max(eigs))
+        if self.K is None:
+            self.K = _off_resonance(max(1.0, -1.5 * float(np.min(eigs)) + 1.0),
+                                    self.period_T)
+        self._convexify(self.K)
+        # gradient must not vanish in the blend shell
+        shell = X[(self.surface.gauge(X) > self.r_A)
+                  & (self.surface.gauge(X) < self.r_B)]
+        if shell.shape[0]:
+            gn = np.linalg.norm(self.grad(shell), axis=1)
+            if np.min(gn) < 1e-10:
+                raise ConstructionFailure("gradient vanishes in the blend shell")
 
-    @classmethod
-    def with_auto_K(cls, surface, aux, a, period_T, eps_a, cutoff_A,
-                    rng_seed: int = 0):
-        """Build the family with K chosen from a sampled curvature bound.
+    def with_K(self, K: float) -> HamiltonianSpec:
+        """This Hamiltonian convexified with ``K`` instead; the K-free parts
+        are shared, not rebuilt."""
+        spec = copy.copy(self)
+        spec._convexify(K)
+        return spec
 
-        A trial spec is assembled at an inflated K to probe the minimum
-        eigenvalue of the K-free Hessian over the whole modeled region (the
-        Hessian of the unconvexified part does not depend on K).
-        """
-        trial = cls(surface=surface, aux=aux, a=a, period_T=period_T,
-                    K=_off_resonance(1e9, period_T), eps_a=eps_a,
-                    cutoff_A=cutoff_A, rng_seed=rng_seed)
-        rng = np.random.default_rng(rng_seed)
-        X = trial._sample_cloud(rng)
-        lam_min = float(np.min(np.linalg.eigvalsh(trial.hess(X))))
-        K = _off_resonance(max(1.0, -1.5 * lam_min + 1.0), period_T)
-        return cls(surface=surface, aux=aux, a=a, period_T=period_T, K=K,
-                   eps_a=eps_a, cutoff_A=cutoff_A, rng_seed=rng_seed)
+    def _convexify(self, K):
+        """Set K: K*T off the 2*pi lattice, H_K convex on the cloud with
+        margin ``convexity_eps``."""
+        if lattice_gap(K, self.period_T) < 1e-6:
+            raise InvalidArgument(f"K*T = {K*self.period_T} is within 1e-6 of 2*pi*Z")
+        eye = np.broadcast_to(np.eye(self.surface.dim), self._cloud_hess.shape)
+        m = float(np.min(np.linalg.eigvalsh(self._cloud_hess + K * eye)[:, 0]))
+        if m <= 0:
+            raise InvalidArgument(
+                f"K = {K} leaves H_K non-convex (min Hessian eigenvalue {m:.3g}); "
+                f"raise K")
+        self.K, self.convexity_eps = K, m
 
     # -- H_a with the outer modification -------------------------------------
     def value(self, x):
@@ -580,8 +598,10 @@ class HamiltonianSpec:
             base = rnorm[active]
             for _bt in range(30):
                 trial = Xa - alpha[:, None] * step
-                trial[np.linalg.norm(trial, axis=1) < 1e-12] = 1e-9
-                tnorm = np.linalg.norm(self.hk_grad(trial) - Y[active], axis=1)
+                tip = np.linalg.norm(trial, axis=1) < 1e-12
+                trial[tip] = 1e-9
+                tres = self.hk_grad(trial) - Y[active]
+                tnorm = np.linalg.norm(tres, axis=1)
                 bad = tnorm > (1.0 - 0.25 * alpha) * base
                 if np.any(bad):
                     Yb = Y[active][bad]
@@ -592,8 +612,12 @@ class HamiltonianSpec:
                     break
                 alpha[bad] *= 0.5
             X[active] = Xa - alpha[:, None] * step
-            res[active] = self.hk_grad(X[active]) - Y[active]
-            rnorm[active] = np.linalg.norm(res[active], axis=1)
+            # the last trial's residual, unless the halvings ran out or the clamp hit
+            if np.any(bad | tip):
+                tres = self.hk_grad(X[active]) - Y[active]
+                tnorm = np.linalg.norm(tres, axis=1)
+            res[active] = tres
+            rnorm[active] = tnorm
             active = rnorm > tol * scale
         if np.any(active):
             raise NumericFailure("Fenchel Newton solve did not converge",
@@ -602,32 +626,13 @@ class HamiltonianSpec:
         vals = np.sum(X * Y, axis=1) - self.hk_value(X)
         return vals, X
 
-    # -- construction-time gates ---------------------------------------------
+    # -- the construction cloud ------------------------------------------------
     def _sample_cloud(self, rng, n_pts=400):
         d = self.surface.dim
         dirs = rng.normal(size=(n_pts, d))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         radii = np.geomspace(1e-3, 2.5 * self.r_B, n_pts)
         return dirs * radii[:, None]
-
-    def _run_construction_checks(self):
-        rng = np.random.default_rng(self.rng_seed)
-        X = self._sample_cloud(rng)
-        eigs = np.linalg.eigvalsh(self.hk_hess(X))
-        m = float(np.min(eigs[:, 0]))
-        if m <= 0:
-            raise InvalidArgument(
-                f"K = {self.K} leaves H_K non-convex (min Hessian eigenvalue {m:.3g}); "
-                f"raise K")
-        self.convexity_eps = m
-        self.hess_sup = float(np.max(np.linalg.eigvalsh(self.hess(X))))
-        # gradient must not vanish in the blend shell
-        shell = X[(self.surface.gauge(X) > self.r_A)
-                  & (self.surface.gauge(X) < self.r_B)]
-        if shell.shape[0]:
-            gn = np.linalg.norm(self.grad(shell), axis=1)
-            if np.min(gn) < 1e-10:
-                raise ConstructionFailure("gradient vanishes in the blend shell")
 
 
 def lattice_gap(K: float, period_T: float) -> float:
@@ -673,9 +678,5 @@ def spec_for_period(surface: Hypersurface, tau: float, *, period_T: float = 1.0,
         s_mean = float(np.mean(np.sum(sphere * sphere, axis=1)))
         eps_match = 2.0 * cutoff_A / (r_A**2 * s_mean)
         eps_a = min(eps_match, 0.9 * _TWO_PI / period_T)
-    if K is not None:
-        return HamiltonianSpec(surface=surface, aux=aux, a=a, period_T=period_T,
-                               K=K, eps_a=eps_a, cutoff_A=cutoff_A,
-                               rng_seed=rng_seed)
-    return HamiltonianSpec.with_auto_K(surface, aux, a, period_T, eps_a,
-                                       cutoff_A, rng_seed=rng_seed)
+    return HamiltonianSpec(surface=surface, aux=aux, a=a, period_T=period_T,
+                           K=K, eps_a=eps_a, cutoff_A=cutoff_A, rng_seed=rng_seed)

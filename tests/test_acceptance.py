@@ -146,9 +146,8 @@ def test_criterion_6_K_independence(circle_bundle):
     surf = circle_bundle.surface
     orb = circle_bundle.orbits[0]
     d = circle_bundle.index_data["y1"]
-    opts = ReductionOptions()
-    grid = suggest_K_grid(surf, orb.prime_period, opts, seed=0)
-    chk = k_shift_audit(surf, orb, grid, opts, seed=0,
+    spec = ReductionOptions().spec(surf, orb.prime_period, seed=0)
+    chk = k_shift_audit(spec, orb, suggest_K_grid(spec), seed=0,
                         path_index=d.index(1), path_nullity=d.nullity(1))
     nullity_const = len(set(chk.nullities)) == 1
     shift_const = len(set(chk.shifted)) == 1 and chk.shifted[0] == d.index(1)

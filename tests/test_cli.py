@@ -515,17 +515,87 @@ def test_audit_fails_a_mutated_index_engine(tmp_path, capsys, monkeypatch,
 
 
 def test_audit_names_an_ellipsoid_orbit_on_no_axis(tmp_path, capsys):
-    # the registry's period 2 pi is no axis period of the audited radii
+    # y1 stays on the surface, but its stored period, moved 1e-6 off 2 pi
+    # in the registry and the index report alike, is no axis period
     cfg_path = write_config(tmp_path)
     assert main(["run", str(cfg_path)]) == 0
-    cfg_path = write_config(tmp_path, surface={"kind": "ellipsoid",
-                                               "radii": [1.001]})
+    off_axis = 2 * np.pi + 1e-6
+    registry = tmp_path / "out" / "orbits.json"
+    payload = json.loads(registry.read_text())
+    payload["orbits"][0]["prime_period"] = off_axis
+    registry.write_text(json.dumps(payload))
+    report = tmp_path / "out" / "index_report.json"
+    payload = json.loads(report.read_text())
+    payload["orbits"]["y1"]["iteration"]["prime_period"] = off_axis
+    report.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["audit", str(cfg_path)]) == 1
     assert "orbit y1: prime period" in capsys.readouterr().err
     bott = json.loads((tmp_path / "out" / "audit_bott.json").read_text())
     assert bott["pass"] is False
     assert "no axis period" in bott["orbits"]["y1"]["witness_failure"]
+
+
+@pytest.mark.parametrize("argv", [["audit"], ["run", "--stages", "resonance"]])
+def test_an_orbit_off_the_configured_surface_is_named(tmp_path, capsys, argv):
+    # orbits found on radius 1 read back on radius 1.001: |j(x) - 1| ~ 1e-3
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    cfg_path = write_config(tmp_path, surface={"kind": "ellipsoid",
+                                               "radii": [1.001]})
+    capsys.readouterr()
+    assert main([argv[0], str(cfg_path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "ConsistencyFailure: orbits.json, orbit y1" in err, err
+    assert repr(1.0 - 1.0 / 1.001)[:6] in err, err
+    assert not (tmp_path / "out" / "audit_bott.json").exists()
+
+
+def test_audit_builds_each_hamiltonian_once_and_solves_each_loop_once(
+        tmp_path, monkeypatch):
+    # one cloud Hessian per audited orbit; one Fenchel solve per distinct
+    # loop, and one per dual modulus estimate
+    from charlab import galerkin
+    cfg_path = write_config(tmp_path, surface=ELL2)
+    assert main(["run", str(cfg_path)]) == 0
+    Spec = geometry.HamiltonianSpec
+    sample, hess, fenchel = Spec._sample_cloud, Spec.hess, Spec.fenchel_batch
+    modulus = galerkin.estimate_dual_modulus
+    clouds, cloud_hess, solves, moduli = [], [], [], []
+
+    def sample_cloud(self, rng):
+        clouds.append(sample(self, rng))
+        return clouds[-1]
+
+    def counted_hess(self, x):
+        cloud_hess.extend(x is c for c in clouds)
+        return hess(self, x)
+
+    def counted_fenchel(self, Y, **kw):
+        solves.append((bool(moduli) and moduli[-1] == "open",
+                       np.asarray(Y).tobytes()))
+        return fenchel(self, Y, **kw)
+
+    def counted_modulus(spec, rng):
+        moduli.append("open")
+        try:
+            return modulus(spec, rng)
+        finally:
+            moduli[-1] = "done"
+
+    monkeypatch.setattr(Spec, "_sample_cloud", sample_cloud)
+    monkeypatch.setattr(Spec, "hess", counted_hess)
+    monkeypatch.setattr(Spec, "fenchel_batch", counted_fenchel)
+    monkeypatch.setattr(galerkin, "estimate_dual_modulus", counted_modulus)
+    assert main(["audit", str(cfg_path)]) == 0
+    ks = json.loads((tmp_path / "out" / "audit_k_shift.json").read_text())
+    n_orbits, n_loops = len(ks["orbits"]), 5 * len(ks["orbits"])
+    assert n_orbits == 2
+    assert len(clouds) == sum(cloud_hess) == n_orbits
+    assert len(moduli) == n_loops
+    assert sum(in_modulus for in_modulus, _ in solves) == n_loops
+    loops = [Y for in_modulus, Y in solves if not in_modulus]
+    assert len(loops) == len(set(loops)) >= n_loops
 
 
 def test_perturbed_audit_keeps_the_segment_scanner(tmp_path):

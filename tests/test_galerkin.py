@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from charlab.errors import InvalidArgument, NumericFailure
-from charlab.galerkin import (ReductionOptions, build_galerkin,
-                              critical_value_formula, k_shift_audit,
-                              orbit_from_critical, reduced_critical_point,
-                              seed_from_orbit, suggest_K_grid)
+from charlab.galerkin import (ReductionOptions, build_galerkin, critical_loop,
+                              critical_value_formula, estimate_dual_modulus,
+                              k_shift_audit, orbit_from_critical,
+                              reduced_critical_point, seed_from_orbit,
+                              suggest_K_grid)
 from charlab.geometry import make_ellipsoid
 from charlab.orbits import ellipsoid_catalog, trajectory_distance
 
@@ -55,6 +56,49 @@ def inner_solve(sys, vec_g, h0=None, tol=1e-10, max_iter=60):
         h[idxH] -= lam * step
     raise NumericFailure("inner convex solve did not reach tolerance",
                          residual=resid)
+
+
+def hessian_by_columns(sys, vec):
+    """The loop Hessian assembled one basis column at a time: each unit
+    Re/Im coefficient as a grid loop, W applied pointwise, back by FFT."""
+    T = sys.spec.period_T
+    lam = sys._mk_multipliers()
+    _, Xstar = sys.spec.fenchel_batch(sys.grid_x(vec))
+    W = np.linalg.inv(sys.spec.hk_hess(Xstar))
+    dim = sys.dim_vec
+    half = dim // 2
+    phase = np.exp(2j * np.pi * np.outer(sys.freqs, np.arange(sys.n_grid))
+                   / sys.n_grid) / sys.n_grid
+    cols_z = np.zeros((dim, sys.n_grid, sys.n), dtype=complex)
+    for a in range(sys.n_active):
+        for j in range(sys.n):
+            c = a * sys.n + j
+            cols_z[c, :, j] = phase[a]
+            cols_z[half + c, :, j] = 1j * phase[a]
+    cols_x = np.concatenate([cols_z.real, cols_z.imag], axis=-1)
+    Wcols = np.einsum("mij,cmj->cmi", W, cols_x)
+    wz = Wcols[..., :sys.n] + 1j * Wcols[..., sys.n:]
+    what = np.fft.fft(wz, axis=1)[:, sys.freqs % sys.n_grid, :]
+    re = what.real.reshape(dim, half)
+    im = what.imag.reshape(dim, half)
+    H = np.concatenate([re, im], axis=1).T * (T / sys.n_grid**2)
+    dvals = np.repeat(-1.0 / lam, sys.n)
+    H[np.arange(dim), np.arange(dim)] += (np.concatenate([dvals, dvals])
+                                          * (T / sys.n_grid**2))
+    return 0.5 * (H + H.T)
+
+
+def two_call_modulus(spec, rng):
+    """estimate_dual_modulus with U and V solved in separate calls."""
+    geom = 1.0 / (spec.K + max(spec.hess_sup, 0.0))
+    scale = 10.0 * (1.0 + spec.K)
+    U = rng.normal(size=(400, spec.surface.dim)) * scale
+    V = U + rng.normal(size=U.shape) * (0.1 * scale)
+    _, XU = spec.fenchel_batch(U)
+    _, XV = spec.fenchel_batch(V)
+    num = np.sum((XU - XV) * (U - V), axis=1)
+    den = np.sum((U - V)**2, axis=1)
+    return 0.5 * min(geom, float(np.min(num / den)))
 
 
 class QuadraticHamiltonian:
@@ -208,9 +252,9 @@ class TestCircleReduction:
 def test_k_shift_audit_circle_m2():
     surf = make_ellipsoid([1.0])
     orb = ellipsoid_catalog(surf)[0]
-    opts = ReductionOptions()
-    grid = suggest_K_grid(surf, 2 * orb.prime_period, opts, seed=0, n_points=3)
-    chk = k_shift_audit(surf, orb, grid, opts, seed=0, iterate_m=2,
+    spec = ReductionOptions().spec(surf, 2 * orb.prime_period, seed=0)
+    grid = suggest_K_grid(spec, n_points=3)
+    chk = k_shift_audit(spec, orb, grid, seed=0, iterate_m=2,
                         path_index=2, path_nullity=1)
     assert chk.consistent
     assert all(s == 2 for s in chk.shifted)
@@ -220,11 +264,36 @@ def test_dimension_shift_jump_across_grid(ell2_bundle):
     surf = ell2_bundle.surface
     orb = ell2_bundle.orbits[0]
     d = ell2_bundle.index_data["y1"]
-    opts = ReductionOptions()
-    grid = suggest_K_grid(surf, orb.prime_period, opts, seed=0)
-    chk = k_shift_audit(surf, orb, grid, opts, seed=0,
+    spec = ReductionOptions().spec(surf, orb.prime_period, seed=0)
+    chk = k_shift_audit(spec, orb, suggest_K_grid(spec), seed=0,
                         path_index=d.index(1), path_nullity=d.nullity(1))
     assert chk.consistent
     jumps = {b - a for a, b in zip(chk.d_of_K[:-1], chk.d_of_K[1:])}
     assert jumps <= {0, 2 * surf.dim_n}
     assert max(chk.d_of_K) - min(chk.d_of_K) >= 2 * surf.dim_n
+
+
+@pytest.mark.parametrize("radii, n_orbits", [
+    ([1.0], 1), ([1.0, 2.0**0.25], 2), ([1.0, 2.0**0.25, 3.0**0.25], 1)])
+def test_toeplitz_hessian_matches_the_column_assembly(radii, n_orbits):
+    # every K of the audit grids: the circle, both ell2 orbits, ell3's first
+    surf = make_ellipsoid(radii)
+    for orb in ellipsoid_catalog(surf)[:n_orbits]:
+        spec = ReductionOptions().spec(surf, orb.prime_period, seed=0)
+        for K in suggest_K_grid(spec):
+            sys, vec = critical_loop(spec.with_K(K), orb, seed=0)
+            H, ref = sys.hessian(vec), hessian_by_columns(sys, vec)
+            assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
+            oracle = build_galerkin(sys.spec, sys.mode_cut, omega=sys.omega)
+            oracle.hessian = lambda v: hessian_by_columns(sys, v)
+            assert sys.morse_data(vec)[:2] == oracle.morse_data(vec)[:2]
+
+
+@pytest.mark.parametrize("radii", [[1.0], [1.0, 2.0**0.25]])
+def test_stacked_modulus_equals_two_calls(radii):
+    surf = make_ellipsoid(radii)
+    orb = ellipsoid_catalog(surf)[0]
+    for seed in (0, 3):
+        spec = ReductionOptions().spec(surf, orb.prime_period, seed=seed)
+        assert estimate_dual_modulus(spec, np.random.default_rng(seed)) \
+            == two_call_modulus(spec, np.random.default_rng(seed))

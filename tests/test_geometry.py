@@ -176,6 +176,28 @@ class TestHamiltonian:
                             cutoff_A=spec.cutoff_A)
 
 
+    def test_with_K_equals_a_fresh_build(self, circle_spec):
+        # the re-K'd spec shares the K-free parts; a fresh one rebuilds them
+        for surf, tau in ((circle_spec.surface, 2.0 * np.pi),
+                          (make_ellipsoid([1.0, 2.0**0.25]), 2.0 * np.pi)):
+            base = spec_for_period(surf, tau, rng_seed=3)
+            for K in (base.K, base.K + 2.6, base.K + 7.1):
+                fresh = HamiltonianSpec(surface=surf, aux=base.aux, a=base.a,
+                                        period_T=base.period_T, K=K,
+                                        eps_a=base.eps_a,
+                                        cutoff_A=base.cutoff_A, rng_seed=3)
+                got = base.with_K(K)
+                for name in ("K", "convexity_eps", "hess_sup", "r_A"):
+                    assert getattr(got, name) == getattr(fresh, name), name
+            assert base.with_K(base.K + 2.6).K == base.K + 2.6
+
+    def test_with_K_gates_K(self, circle_spec):
+        with pytest.raises(InvalidArgument, match="2\\*pi"):
+            circle_spec.with_K(2.0 * np.pi)
+        with pytest.raises(InvalidArgument, match="non-convex"):
+            circle_spec.with_K(-circle_spec.hess_sup - 50.0)
+
+
 class TestFenchel:
     def test_pure_quadratic_region(self, circle_spec):
         # far out H_K = (eps+K)/2 |x|^2, so the dual is |y|^2/(2(eps+K))
