@@ -231,21 +231,22 @@ def _dump(obj, path: Path):
 
 
 def _orbit_paths(surface, orbits, cfg):
-    """Rebuild the linearized index path for each registry orbit."""
-    tol, alpha = cfg.tolerances["integrator"], cfg.index_opts["alpha"]
-    return {orb.orbit_id: integrate_linearized(
-                surface, orb.trajectory.x0, orb.prime_period, alpha, tol=tol)
-            for orb in orbits}
+    """The linearized index paths of all registry orbits, in one solve."""
+    starts = {o.orbit_id: (o.trajectory.x0, o.prime_period) for o in orbits}
+    return integrate_linearized(surface, starts, cfg.index_opts["alpha"],
+                                tol=cfg.tolerances["integrator"])
 
 
 def _registry(cfg, surface) -> list:
-    """The orbits of the run's ``orbits.json``, each on the configured
-    surface: max |j(x) - 1| over its samples within ``closure``."""
+    """The orbits of the run's ``orbits.json``, at least one, each on the
+    configured surface: max |j(x) - 1| over its samples within ``closure``."""
     reg = cfg.out_dir / "orbits.json"
     if not reg.exists():
         raise InvalidArgument(
             f"missing orbit registry {reg}; run the orbits stage first")
     orbits = load_registry(reg, surface)
+    if not orbits:
+        raise ConsistencyFailure(f"{reg.name} lists no orbits; rerun the orbits stage")
     closure = cfg.tolerances["closure"]
     for orb in orbits:
         dev = float(np.max(np.abs(surface.gauge(orb.trajectory.xs) - 1.0)))

@@ -12,6 +12,10 @@ the effective Hessian S(x) = (alpha-1) g g^T + hess j taken from one gauge
 jet per right-hand side call.  It equals hess(j^alpha)/alpha on the surface
 level: the linearized flow of j^alpha after rescaling time by the constant
 factor alpha, which changes no crossing count, monodromy, index or nullity.
+All orbits are solved at once, each rescaled to s in [0, 1] and stacked
+into one state: they share DOP853's steps (RMS error norm over the stack)
+and one jet call per stage, and each keeps its own gates and reads only its
+own columns of the shared dense solution.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import NumericFailure
 from .geometry import Hypersurface
-from .ode import dop853
+from .ode import DenseSolution, dop853
 from .sympl import project_symplectic, standard_J, symplectic_defect
 
 
@@ -49,7 +53,8 @@ class SymplecticPath:
     ``Rs``/``ts`` hold the integrated R on a uniform grid, ``end_monodromy``
     the value at the period (retracted onto Sp(2n) when the sampled defect
     exceeds 1e-10); R(t + k*period) = R(t) R(period)^k extends it to
-    iterates.  ``sol`` is the dense joint (x, R) solution, ``S_of_t`` the
+    iterates.  ``sol`` is the dense joint (x, R) solution in the orbit's own
+    time, a view of its columns of the stacked solve; ``S_of_t`` is the
     index form along the orbit.
     """
 
@@ -110,67 +115,75 @@ def integrate_flow(surface: Hypersurface, x0, t_end: float, tol: float = 1e-10,
 
 
 def _energy_drift(surface: Hypersurface, xs, h0: float, t_end: float,
-                  tol: float) -> float:
+                  tol: float, where: str = "") -> float:
     """Largest |j(x) - h0| over the samples; raises above the budget
-    10 * tol * max(1, t_end) * max(1, |h0|)."""
+    10 * tol * max(1, t_end) * max(1, |h0|), its message led by ``where``."""
     energies = np.asarray(surface.gauge(xs), dtype=float)
     drift = float(np.max(np.abs(energies - h0)))
     budget = 10.0 * tol * max(1.0, abs(t_end)) * max(1.0, abs(h0))
     if drift > budget:
-        raise NumericFailure("energy drift exceeds tolerance budget",
+        raise NumericFailure(f"{where}energy drift exceeds tolerance budget",
                              drift=drift, budget=budget)
     return drift
 
 
-def integrate_linearized(surface: Hypersurface, x0, tau: float, alpha: float,
+def integrate_linearized(surface: Hypersurface, starts: dict, alpha: float,
                          tol: float = 1e-11, n_samples: int = 513,
-                         defect_gate: float = 1e-6) -> SymplecticPath:
+                         defect_gate: float = 1e-6) -> dict:
     """Integrate R' = J S(x(t)) R, S(x) = (alpha-1) g g^T + hess j, jointly
-    with the flow of the surface from x0 over [0, tau].
+    with the flow, for every orbit id -> (x0, tau) of ``starts`` in one
+    DOP853 solve; returns orbit id -> its path over [0, tau].
 
-    The state is integrated with R (not interpolated from another solve) so
-    that S is evaluated on the true orbit; its drift of j is held to the
-    budget of ``integrate_flow``.  A sampled symplecticity defect above
-    ``defect_gate`` raises; above 1e-10 the end monodromy is retracted onto
-    Sp(2n), while the stored samples stay as integrated.
+    Each orbit's system is rescaled to s in [0, 1] (y' = tau f(y)) and
+    stacked; the step control is the RMS error norm over the whole stack,
+    with atol = rtol max(1, min |x0|).  Each orbit keeps its own gates,
+    which name it: its drift of j is held to ``integrate_flow``'s budget, a
+    sampled symplecticity defect above ``defect_gate`` raises, and above
+    1e-10 its end monodromy is retracted onto Sp(2n), while the stored
+    samples stay as integrated.
     """
     n = surface.dim_n
     d = 2 * n
+    w = d + d * d                       # one orbit's columns of the stack
     J = standard_J(n)
-    x0 = np.asarray(x0, dtype=float)
-    tau = float(tau)
+    x0s, taus = (np.array(v, dtype=float) for v in zip(*starts.values()))
 
     def field_at(x):
         g, H = surface.jet(x)
-        return g, (alpha - 1.0) * np.outer(g, g) + H
+        return g, (alpha - 1.0) * (g[..., :, None] * g[..., None, :]) + H
 
-    def rhs(t, y):
-        g, S = field_at(y[:d])
-        return np.concatenate([J @ g, (J @ S @ y[d:].reshape(d, d)).ravel()])
+    def rhs(s, y):
+        Y = y.reshape(len(taus), w)
+        g, S = field_at(Y[:, :d])
+        JSR = (J @ S @ Y[:, d:].reshape(-1, d, d)).reshape(-1, d * d)
+        return (taus[:, None] * np.hstack([g @ J.T, JSR])).ravel()
 
-    y0 = np.concatenate([x0, np.eye(d).ravel()])
+    y0 = np.hstack([x0s, np.tile(np.eye(d).ravel(), (len(taus), 1))])
     rtol = max(1e-2 * tol, 3e-14)
-    res = dop853(rhs, (0.0, tau), y0, rtol,
-                 rtol * max(1.0, float(np.linalg.norm(x0))), dense_output=True)
-    ts = np.linspace(0.0, tau, n_samples)
-    ys = res.sol(ts)
-    _energy_drift(surface, ys[:d].T, float(surface.gauge(x0)), tau, tol)
-    Rs = ys[d:].T.reshape(len(ts), d, d)
-    defect = float(np.max(symplectic_defect(
-        np.concatenate([Rs[:: max(1, len(ts) // 32)], Rs[-1:]]), J)))
-    if defect > defect_gate:
-        raise NumericFailure("symplecticity defect too large; refine steps",
-                             defect=defect)
-    monodromy = Rs[-1]
-    if defect > 1e-10:
-        monodromy = project_symplectic(monodromy, J)
-    sol = res.sol
+    atol = rtol * max(1.0, float(np.min(np.linalg.norm(x0s, axis=1))))
+    stack = dop853(rhs, (0.0, 1.0), y0.ravel(), rtol, atol, dense_output=True).sol
 
-    def S_of_t(t):
-        return field_at(sol(float(t))[:d])[1]
+    def path(k, oid, tau):
+        cols = slice(k * w, (k + 1) * w)    # views: one orbit's columns only
+        sol = DenseSolution(stack.ts * tau, stack.y_old[:, cols],
+                            stack.F[:, :, cols])
+        ts = np.linspace(0.0, tau, n_samples)
+        ys = sol(ts)
+        _energy_drift(surface, ys[:d].T, float(surface.gauge(x0s[k])), tau,
+                      tol, f"orbit {oid}: ")
+        Rs = ys[d:].T.reshape(len(ts), d, d)
+        defect = float(np.max(symplectic_defect(
+            np.concatenate([Rs[:: max(1, len(ts) // 32)], Rs[-1:]]), J)))
+        if defect > defect_gate:
+            raise NumericFailure(f"orbit {oid}: symplecticity defect too "
+                                 f"large; refine steps", defect=defect)
+        monodromy = Rs[-1] if defect <= 1e-10 else project_symplectic(Rs[-1], J)
+        return SymplecticPath(ts=ts, Rs=Rs, end_monodromy=monodromy, period=tau,
+                              defect=defect, n=n, sol=sol,
+                              S_of_t=lambda t: field_at(sol(float(t))[:d])[1])
 
-    return SymplecticPath(ts=ts, Rs=Rs, end_monodromy=monodromy, period=tau,
-                          defect=float(defect), n=n, sol=sol, S_of_t=S_of_t)
+    return {oid: path(k, oid, tau)
+            for k, (oid, tau) in enumerate(zip(starts, taus))}
 
 
 def path_max_defect(path: SymplecticPath) -> float:

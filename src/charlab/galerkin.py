@@ -41,6 +41,7 @@ from .index import dimension_shift
 from .orbits import ClosedCharacteristic
 
 _TWO_PI = 2.0 * np.pi
+MAX_MODE_CUT = 4096     # the loop arrays grow with the cut; shipped cuts are <= 52
 
 
 def estimate_dual_modulus(spec, rng) -> float:
@@ -235,8 +236,11 @@ def build_galerkin(spec, mode_cut: int, *, omega: float) -> GalerkinSystem:
     """Assemble the truncated loop space for a Hamiltonian spec.
 
     ``omega`` is the monotonicity modulus of grad H* (``estimate_dual_modulus``).
-    Raises when ``mode_cut`` cannot contain the threshold set of G.
+    Raises when ``mode_cut`` exceeds MAX_MODE_CUT or cannot hold the threshold set of G.
     """
+    if mode_cut > MAX_MODE_CUT:
+        raise NumericFailure(f"mode cut {mode_cut} exceeds the cap "
+                             f"MAX_MODE_CUT = {MAX_MODE_CUT}")
     n = spec.surface.dim_n if hasattr(spec, "surface") else spec.dim_n
     T = spec.period_T
     lo = -spec.K * T / _TWO_PI

@@ -71,6 +71,7 @@ def make_ellipsoid(radii) -> Hypersurface:
         raise InvalidArgument("all radii must be positive")
     n = radii.size
     w = np.concatenate([1.0 / radii**2, 1.0 / radii**2])
+    W = np.diag(w)                      # the jet's, built once
 
     def gauge(x):
         x = np.asarray(x, dtype=float)
@@ -85,7 +86,7 @@ def make_ellipsoid(radii) -> Hypersurface:
         x = np.asarray(x, dtype=float)
         j = gauge(x)
         g = w * x / j[..., None]
-        eye = np.broadcast_to(np.diag(w), x.shape + (2 * n,))
+        eye = np.broadcast_to(W, x.shape + (2 * n,))
         return g, (eye / j[..., None, None]
                    - g[..., :, None] * g[..., None, :] / j[..., None, None])
 

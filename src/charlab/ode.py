@@ -46,13 +46,13 @@ class DenseSolution:
     earlier step's piece, and times outside [t0, t_end] extrapolate the end
     pieces."""
 
-    def __init__(self, ts, ys, Fs):
+    def __init__(self, ts, y_old, F):
         self.ts = ts
         self._ts = ts.tolist()
         self.t_old = ts[:-1]
         self.h = ts[1:] - ts[:-1]
-        self.y_old = ys[:-1]
-        self.F = Fs
+        self.y_old = y_old
+        self.F = F
 
     def __call__(self, t):
         t = np.asarray(t)
@@ -129,7 +129,7 @@ def dop853(fun, t_span, y0, rtol: float, atol: float,
         ys.append(y)
     ts = np.array(ts)
     ys = np.vstack(ys)
-    sol = DenseSolution(ts, ys, np.array(Fs)) if dense_output else None
+    sol = DenseSolution(ts, ys[:-1], np.array(Fs)) if dense_output else None
     return OdeResult(t=ts, y=ys.T, sol=sol, nfev=nfev)
 
 

@@ -29,11 +29,11 @@ def solve_bundle(radii, m_max=14, alpha=1.5, tol=1e-12, surface=None):
         orbits = ellipsoid_catalog(surface)
     else:
         orbits = find_orbits(surface)
-    paths = {}
+    paths = integrate_linearized(
+        surface, {o.orbit_id: (o.trajectory.x0, o.prime_period) for o in orbits},
+        alpha, tol=tol)
     data = {}
     for orb in orbits:
-        paths[orb.orbit_id] = integrate_linearized(
-            surface, orb.trajectory.x0, orb.prime_period, alpha, tol=tol)
         data[orb.orbit_id] = compute_orbit_index_data(
             orb.orbit_id, IndexComputer(paths[orb.orbit_id]), m_max=m_max)
     return Bundle(surface, orbits, paths, data)

@@ -53,10 +53,12 @@ def full_identity(radii_or_surface, m_max=14):
     orbits = ellipsoid_catalog(surface) if surface.kind == "ellipsoid" else None
     contribs = []
     datas = {}
+    paths = integrate_linearized(
+        surface, {o.orbit_id: (o.trajectory.x0, o.prime_period) for o in orbits},
+        1.5, tol=1e-12)
     for orb in orbits:
-        path = integrate_linearized(surface, orb.trajectory.x0,
-                                    orb.prime_period, 1.5, tol=1e-12)
-        d = compute_orbit_index_data(orb.orbit_id, IndexComputer(path),
+        d = compute_orbit_index_data(orb.orbit_id,
+                                     IndexComputer(paths[orb.orbit_id]),
                                      m_max=m_max)
         table = critical_type_numbers(d)
         chis, chi_hat = euler_characteristics(table, d)

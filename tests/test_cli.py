@@ -355,6 +355,19 @@ def test_audit_requires_registry(tmp_path):
     assert main(["audit", str(cfg_path)]) == 1
 
 
+def test_a_registry_without_orbits_is_named(tmp_path, capsys):
+    # there is nothing to solve or audit; the audit ended in an IndexError
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path), "--stages", "geometry,orbits"]) == 0
+    reg = tmp_path / "out" / "orbits.json"
+    reg.write_text(json.dumps({**json.loads(reg.read_text()), "orbits": []}))
+    for argv in (["run", "--stages", "index"], ["audit"]):
+        capsys.readouterr()
+        assert main([argv[0], str(cfg_path), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "orbits.json lists no orbits" in err and "Traceback" not in err
+
+
 def test_audit_circle(tmp_path):
     cfg_path = write_config(tmp_path)
     assert main(["run", str(cfg_path)]) == 0
@@ -403,6 +416,59 @@ def test_audit_defect_sees_an_injected_skew(tmp_path, monkeypatch):
     for name in ("audit_bott.json", "audit_k_shift.json",
                  "audit_convexity.json"):
         assert json.loads((out / name).read_text())["pass"]
+
+
+def test_audit_names_the_orbit_whose_path_fails(tmp_path, capsys,
+                                                monkeypatch):
+    # a skew part proportional to q1^2 + p1^2 breaks y1's path only; the
+    # one solve of all paths fails naming y1
+    from dataclasses import replace
+
+    from charlab import cli
+    from charlab.sympl import standard_J
+
+    def skewed(spec):
+        surface = geometry.surface_from_spec(spec)
+        J = standard_J(surface.dim_n)
+
+        def jet(x):
+            g, H = surface.jet(x)
+            r = x[..., 0]**2 + x[..., 2]**2
+            return g, H + 1e-6 * r[..., None, None] * J
+        return replace(surface, jet=jet)
+
+    cfg_path = write_config(tmp_path, surface={
+        "kind": "ellipsoid", "radii": [1.0, 2.0**0.25]})
+    assert main(["run", str(cfg_path), "--stages",
+                 "geometry,orbits,index"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "surface_from_spec", skewed)
+    assert main(["audit", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "orbit y1: symplecticity defect" in err and "y2" not in err, err
+
+
+def test_run_and_audit_solve_the_linearized_flow_once(tmp_path, monkeypatch):
+    # one stacked solve holds every orbit's path: one per run, one per
+    # audit, none for a resonance-only resume
+    from charlab import cli
+
+    calls = []
+
+    def counted(surface, starts, *args, **kwargs):
+        calls.append(list(starts))
+        return solve(surface, starts, *args, **kwargs)
+
+    solve = cli.integrate_linearized
+    monkeypatch.setattr(cli, "integrate_linearized", counted)
+    argv = [str(ROOT / "configs" / "ellipsoid_3d.json"),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(["run", *argv]) == 0
+    assert calls == [["y1", "y2", "y3"]]
+    assert main(["audit", *argv]) == 0
+    assert len(calls) == 2
+    assert main(["run", *argv, "--stages", "resonance"]) == 0
+    assert len(calls) == 2
 
 
 AUDITS = ("audit_symplecticity.json", "audit_bott.json", "audit_k_shift.json",
@@ -663,6 +729,7 @@ def test_full_run_reads_the_index_report_once(tmp_path, monkeypatch):
     ({"T": 1e-300}, "dual modulus"),
     ({"T": 1e300}, "K*T"),
     ({"T": 1e200, "K": 1e200}, "K*T"),
+    ({"K": 1e9}, "MAX_MODE_CUT = 4096"),    # a mode cut near 6e8
 ])
 def test_degenerate_galerkin_block_is_named(tmp_path, capsys, galerkin,
                                             cause):

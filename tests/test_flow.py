@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from charlab.errors import NumericFailure
-from charlab.flow import integrate_flow, integrate_linearized, path_max_defect
+from charlab.flow import (SymplecticPath, _energy_drift, integrate_flow,
+                          integrate_linearized, path_max_defect)
 from charlab.geometry import make_ellipsoid
-from charlab.sympl import standard_J, symplectic_defect
+from charlab.index import (IndexComputer, compute_orbit_index_data,
+                           unit_spectrum_angles)
+from charlab.ode import dop853
+from charlab.sympl import project_symplectic, standard_J, symplectic_defect
 
 
 def with_hessian_offset(surface, offset):
@@ -18,6 +22,44 @@ def with_hessian_offset(surface, offset):
         g, H = surface.jet(x)
         return g, H + offset
     return replace(surface, jet=jet)
+
+
+def one_path(surface, x0, tau, alpha, **kw):
+    """The path of the one orbit (x0, tau)."""
+    return integrate_linearized(surface, {"y": (x0, tau)}, alpha, **kw)["y"]
+
+
+def oracle_path(surface, x0, tau, alpha, tol, n_samples=513):
+    """One orbit's joint (x, R) system in its own time, solved on its own:
+    the per-orbit solve the stacked one replaced, with its gates."""
+    n = surface.dim_n
+    d = 2 * n
+    J = standard_J(n)
+
+    def field_at(x):
+        g, H = surface.jet(x)
+        return g, (alpha - 1.0) * np.outer(g, g) + H
+
+    def rhs(t, y):
+        g, S = field_at(y[:d])
+        return np.concatenate([J @ g, (J @ S @ y[d:].reshape(d, d)).ravel()])
+
+    y0 = np.concatenate([x0, np.eye(d).ravel()])
+    rtol = max(1e-2 * tol, 3e-14)
+    sol = dop853(rhs, (0.0, tau), y0, rtol,
+                 rtol * max(1.0, float(np.linalg.norm(x0))),
+                 dense_output=True).sol
+    ts = np.linspace(0.0, tau, n_samples)
+    ys = sol(ts)
+    _energy_drift(surface, ys[:d].T, float(surface.gauge(x0)), tau, tol)
+    Rs = ys[d:].T.reshape(len(ts), d, d)
+    defect = float(np.max(symplectic_defect(
+        np.concatenate([Rs[:: max(1, len(ts) // 32)], Rs[-1:]]), J)))
+    assert defect <= 1e-6
+    monodromy = Rs[-1] if defect <= 1e-10 else project_symplectic(Rs[-1], J)
+    return SymplecticPath(ts=ts, Rs=Rs, end_monodromy=monodromy, period=tau,
+                          defect=defect, n=n, sol=sol,
+                          S_of_t=lambda t: field_at(sol(float(t))[:d])[1])
 
 
 def path_at(path, t):
@@ -124,8 +166,7 @@ def test_energy_conservation_budget():
 @pytest.fixture(scope="module")
 def circle_path():
     surf = make_ellipsoid([1.0])
-    return integrate_linearized(surf, np.array([1.0, 0.0]), 2 * np.pi, 1.5,
-                                tol=1e-12)
+    return one_path(surf, np.array([1.0, 0.0]), 2 * np.pi, 1.5, tol=1e-12)
 
 
 class TestLinearized:
@@ -156,8 +197,8 @@ class TestLinearized:
         surf = make_ellipsoid([1.0, 2.0**0.25])
         x0 = np.array([1.0, 0.0, 0.0, 0.0])
         tau = 2 * np.pi
-        path = integrate_linearized(surf, x0, tau, 1.5, tol=1e-12)
-        path5 = integrate_linearized(surf, x0, 5 * tau, 1.5, tol=1e-12)
+        path = one_path(surf, x0, tau, 1.5, tol=1e-12)
+        path5 = one_path(surf, x0, 5 * tau, 1.5, tol=1e-12)
         for m in range(1, 6):
             stitched = path_at(path, m * tau)
             direct = path5.sol(m * tau)[4:].reshape(4, 4)
@@ -178,10 +219,57 @@ def test_elliptic_angle_against_refined_integration(ell2_bundle):
     # oracle: re-integrate the monodromy at a tighter tolerance
     surf = ell2_bundle.surface
     orb = ell2_bundle.orbits[0]
-    path = integrate_linearized(surf, orb.trajectory.x0, orb.prime_period,
-                                1.5, tol=1e-13)
+    path = one_path(surf, orb.trajectory.x0, orb.prime_period, 1.5,
+                    tol=1e-13)
     ref = ell2_bundle.paths["y1"].end_monodromy
     assert np.max(np.abs(path.end_monodromy - ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("bundle", ["circle_bundle", "ell2_bundle",
+                                    "ell3_bundle", "perturbed_bundle"])
+def test_stacked_solve_agrees_with_the_per_orbit_oracle(request, bundle):
+    # every orbit's view of the one stacked solve against its own solve
+    b = request.getfixturevalue(bundle)
+    for orb in b.orbits:
+        path = b.paths[orb.orbit_id]
+        ref = oracle_path(b.surface, orb.trajectory.x0, orb.prime_period, 1.5,
+                          tol=1e-12)
+        assert np.max(np.abs(path.end_monodromy - ref.end_monodromy)) <= 1e-10
+        got, want = (unit_spectrum_angles(np.linalg.eigvals(p.end_monodromy))
+                     for p in (path, ref))
+        assert len(got) == len(want)
+        assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-10
+        got, want = ([(r.index_i, r.nullity_nu) for r in compute_orbit_index_data(
+                          orb.orbit_id, IndexComputer(p), m_max=100).records]
+                     for p in (path, ref))
+        assert got == want
+        assert path_max_defect(path) <= 1e-8
+
+
+def test_a_failing_orbit_is_named(ell2_bundle):
+    # a skew part of the Hessian proportional to q1^2 + p1^2 breaks the
+    # symplecticity of y1's path and vanishes on y2's plane
+    surf = ell2_bundle.surface
+    J = standard_J(2)
+
+    def jet(x):
+        g, H = surf.jet(x)
+        r = x[..., 0]**2 + x[..., 2]**2
+        return g, H + 1e-6 * r[..., None, None] * J
+
+    skewed = replace(surf, jet=jet)
+    starts = {o.orbit_id: (o.trajectory.x0, o.prime_period)
+              for o in ell2_bundle.orbits}
+    with pytest.raises(NumericFailure, match="orbit y1: symplecticity") as err:
+        integrate_linearized(skewed, starts, 1.5, tol=1e-12)
+    assert "y2" not in str(err.value)
+    alone = integrate_linearized(skewed, {"y2": starts["y2"]}, 1.5, tol=1e-12)
+    assert alone["y2"].defect <= 1e-10
+    # a gauge leak proportional to q1 drifts along y1 and is zero on y2
+    leaky = replace(surf, gauge=lambda x: surf.gauge(x) + 1e-6 * x[..., 0])
+    with pytest.raises(NumericFailure, match="orbit y1: energy drift") as err:
+        integrate_linearized(leaky, starts, 1.5, tol=1e-12)
+    assert "y2" not in str(err.value)
 
 
 def test_identity_monodromy_multiplicity():
@@ -208,8 +296,7 @@ def test_defect_gate_raises():
     surf = with_hessian_offset(make_ellipsoid([1.0]),
                                np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NumericFailure, match="defect"):
-        integrate_linearized(surf, np.array([1.0, 0.0]), 2 * np.pi, 1.5,
-                             tol=1e-10)
+        one_path(surf, np.array([1.0, 0.0]), 2 * np.pi, 1.5, tol=1e-10)
 
 
 def test_linearized_energy_drift_gate_raises():
@@ -217,8 +304,7 @@ def test_linearized_energy_drift_gate_raises():
     circle = make_ellipsoid([1.0])
     leaky = replace(circle, gauge=lambda x: circle.gauge(x) + 1e-6 * x[..., 0])
     with pytest.raises(NumericFailure, match="energy drift"):
-        integrate_linearized(leaky, np.array([1.0, 0.0]), 2 * np.pi, 1.5,
-                             tol=1e-12)
+        one_path(leaky, np.array([1.0, 0.0]), 2 * np.pi, 1.5, tol=1e-12)
 
 
 def test_batched_symplectic_defect_is_bitwise_the_matrix_norm():
@@ -253,8 +339,7 @@ def test_projection_retracts_an_injected_defect():
     # retracted, the samples are kept as integrated
     J = standard_J(1)
     surf = with_hessian_offset(make_ellipsoid([1.0]), -1e-10 * J)
-    path = integrate_linearized(surf, np.array([1.0, 0.0]), 2 * np.pi, 1.5,
-                                tol=1e-12)
+    path = one_path(surf, np.array([1.0, 0.0]), 2 * np.pi, 1.5, tol=1e-12)
     assert 1e-10 < path.defect < 1e-8
     raw = path.sol(path.ts)[2:].T.reshape(-1, 2, 2)
     assert np.array_equal(path.Rs, raw)

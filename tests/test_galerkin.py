@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from charlab.errors import InvalidArgument, NumericFailure
-from charlab.galerkin import (ReductionOptions, build_galerkin, critical_loop,
+from charlab.galerkin import (MAX_MODE_CUT, ReductionOptions, build_galerkin,
+                              critical_loop,
                               critical_value_formula, estimate_dual_modulus,
                               k_shift_audit, orbit_from_critical,
                               reduced_critical_point, seed_from_orbit,
@@ -178,6 +179,15 @@ class TestCircleReduction:
         _, _, spec, sys, _ = circle_system
         with pytest.raises(InvalidArgument, match="threshold"):
             build_galerkin(spec, 2, omega=sys.omega)
+
+    def test_mode_cut_above_the_cap_rejected(self, circle_system):
+        # a cut of 10**9 would allocate gigabytes of loop arrays; it is
+        # named with the cap before any of them exists
+        _, _, spec, sys, _ = circle_system
+        with pytest.raises(NumericFailure,
+                           match=f"mode cut 1000000000 .* {MAX_MODE_CUT}"):
+            build_galerkin(spec, 10**9, omega=sys.omega)
+        assert sys.mode_cut <= MAX_MODE_CUT
 
     def test_orbit_recovery(self, circle_system):
         surf, orb, spec, sys, vec = circle_system

@@ -246,10 +246,13 @@ def test_identity_on_golden_ratio_ellipsoid():
     surf = make_ellipsoid([1.0, phi**0.5])
     from charlab.orbits import ellipsoid_catalog
     total = 0.0
-    for orb in ellipsoid_catalog(surf):
-        path = integrate_linearized(surf, orb.trajectory.x0,
-                                    orb.prime_period, 1.5, tol=1e-12)
-        d = compute_orbit_index_data(orb.orbit_id, IndexComputer(path),
+    orbits = ellipsoid_catalog(surf)
+    paths = integrate_linearized(
+        surf, {o.orbit_id: (o.trajectory.x0, o.prime_period) for o in orbits},
+        1.5, tol=1e-12)
+    for orb in orbits:
+        d = compute_orbit_index_data(orb.orbit_id,
+                                     IndexComputer(paths[orb.orbit_id]),
                                      m_max=8)
         total += 1.0 / d.mean_index      # even parity throughout: chi_hat = 1
     assert abs(total - 0.5) <= 1e-10
@@ -277,8 +280,9 @@ def test_homogeneity_exponent_independence(ell2_bundle):
     orb = ell2_bundle.orbits[0]
     ref = ell2_bundle.index_data["y1"]
     for alpha in (1.3, 1.7):
-        path = integrate_linearized(surf, orb.trajectory.x0,
-                                    orb.prime_period, alpha, tol=1e-12)
+        path, = integrate_linearized(
+            surf, {"a": (orb.trajectory.x0, orb.prime_period)}, alpha,
+            tol=1e-12).values()
         data = compute_orbit_index_data("a", IndexComputer(path), m_max=10)
         assert all(data.index(m) == ref.index(m) for m in range(1, 11))
         assert all(data.nullity(m) == ref.nullity(m) for m in range(1, 11))
@@ -292,8 +296,9 @@ def test_scaling_invariance_of_mean_index(ell2_bundle):
     lam = 2.0
     surf = make_ellipsoid([lam * 1.0, lam * 2.0**0.25])
     tau = 2 * np.pi * lam**2
-    path = integrate_linearized(surf, np.array([lam, 0.0, 0.0, 0.0]), tau,
-                                1.5, tol=1e-12)
+    path, = integrate_linearized(
+        surf, {"s": (np.array([lam, 0.0, 0.0, 0.0]), tau)}, 1.5,
+        tol=1e-12).values()
     data = compute_orbit_index_data("s", IndexComputer(path), m_max=10)
     ref = ell2_bundle.index_data["y1"]
     assert abs(data.mean_index - ref.mean_index) <= 1e-8

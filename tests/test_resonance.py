@@ -304,10 +304,13 @@ def test_residual_not_worse_under_refinement():
     residuals = []
     for tol in (1e-10, 5e-11):
         contribs = []
-        for orb in ellipsoid_catalog(surface):
-            path = integrate_linearized(
-                surface, orb.trajectory.x0, orb.prime_period, 1.5, tol=tol)
-            d = compute_orbit_index_data(orb.orbit_id, IndexComputer(path),
+        orbits = ellipsoid_catalog(surface)
+        paths = integrate_linearized(
+            surface, {o.orbit_id: (o.trajectory.x0, o.prime_period)
+                      for o in orbits}, 1.5, tol=tol)
+        for orb in orbits:
+            d = compute_orbit_index_data(orb.orbit_id,
+                                         IndexComputer(paths[orb.orbit_id]),
                                          m_max=8)
             table = critical_type_numbers(d)
             chis, chi_hat = euler_characteristics(table, d)
