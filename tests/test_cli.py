@@ -356,7 +356,7 @@ def test_audit_requires_registry(tmp_path):
 
 
 def test_a_registry_without_orbits_is_named(tmp_path, capsys):
-    # there is nothing to solve or audit; the audit ended in an IndexError
+    # an empty registry leaves nothing to solve or audit: exit 1, named
     cfg_path = write_config(tmp_path)
     assert main(["run", str(cfg_path), "--stages", "geometry,orbits"]) == 0
     reg = tmp_path / "out" / "orbits.json"

@@ -5,11 +5,10 @@ import pytest
 
 from charlab.errors import InvalidArgument, NumericFailure
 from charlab.galerkin import (MAX_MODE_CUT, ReductionOptions, build_galerkin,
-                              critical_loop,
-                              critical_value_formula, estimate_dual_modulus,
-                              k_shift_audit, orbit_from_critical,
-                              reduced_critical_point, seed_from_orbit,
-                              suggest_K_grid)
+                              critical_loop, critical_value_formula,
+                              estimate_dual_modulus, k_shift_audit,
+                              orbit_from_critical, reduced_critical_point,
+                              seed_from_orbit, suggest_K_grid)
 from charlab.geometry import make_ellipsoid
 from charlab.orbits import ellipsoid_catalog, trajectory_distance
 
