@@ -11,12 +11,12 @@ read from a table of the arcs between eigenvalue angles; a root of unity
 within ``angle_tol`` of an eigenvalue angle takes the index at that
 eigenvalue.  ``IterationData`` holds this one-period data (and writes it
 to and reads it from JSON); a range of iterates is one numpy pass over all
-their roots.  The table needs one scan, on the first arc after 1: going
-counter-clockwise across a simple eigenvalue exp(i theta), theta in
-(0, pi), whose Krein form kappa(v) = Re(-i v* J v) is definite, i_omega
-changes by -sign kappa(v), and i_omega = i_conj(omega) for a real path
-gives the lower half of the circle from the upper one.  Any other arc (a
-multiple eigenvalue, or kappa too small to trust its sign) is scanned.
+their roots.  The table needs no scan when nu(y) = 1 and the other unit
+eigenvalues are simple and Krein-definite: for alpha in (1, 2) the
+monodromy is N_1(1, 1) <> M_y (Long, ch. 15), so i_omega is i(y) + n + 1
+on the first arc after 1 (S+_M(1) = 1); the Krein steps (``_krein_step``)
+and i_omega = i_conj(omega) give the other arcs and the values on the
+eigenvalues.  Anything else (-1 included) is scanned.
 A one-period index counts regular crossings of
 ``det(R(t) - omega I) = 0``: the start gives half the signature of S(0)
 (omega = 1 only), each interior crossing the signature of S(t) on
@@ -47,10 +47,7 @@ _TWO_PI = 2.0 * np.pi
 # trusted when |kappa| of the unit eigenvector reaches _KREIN_MIN
 _KREIN_GAP = 1e-4
 _KREIN_MIN = 1e-3
-
-
-def _circle_dist(a: float, b: float) -> float:
-    return min(abs(a - b), _TWO_PI - abs(a - b))
+_ONE_CLUSTER_TOL = 1e-4           # eigenvalues this near 1 count as 1
 
 
 @dataclass
@@ -384,29 +381,28 @@ class IndexComputer:
         return i_om
 
 
-def unit_spectrum_angles(eigvals, *, circle_tol: float = 1e-7,
-                         one_cluster_tol: float = 1e-4):
+def unit_spectrum_angles(eigvals, *, circle_tol: float = 1e-7):
     """Angles in [0, 2pi) of the unit-circle eigenvalues among ``eigvals``
     (the monodromy's).
 
-    Eigenvalues within ``one_cluster_tol`` of 1 are collapsed to angle 0:
+    Eigenvalues within ``_ONE_CLUSTER_TOL`` of 1 are collapsed to angle 0:
     a defective 1-eigenvalue (the generic orbit case) splits numerically by
     the square root of the integration defect, far beyond ``circle_tol``.
     """
     angles = []
     for lam in eigvals:
-        if abs(lam - 1.0) < one_cluster_tol:
+        if abs(lam - 1.0) < _ONE_CLUSTER_TOL:
             angles.append(0.0)
         elif abs(abs(lam) - 1.0) < circle_tol:
             angles.append(float(np.angle(lam)) % _TWO_PI)
     uniq = []
     for a in sorted(angles):
-        if not uniq or _circle_dist(a, uniq[-1]) > 1e-9:
+        if not uniq or a - uniq[-1] > 1e-9:
             uniq.append(a)
     return uniq
 
 
-def _krein_step(eigvals, eigvecs, angle: float, J: np.ndarray):
+def _krein_step(eigvals, eigvecs, angle: float):
     """-sign kappa(v) at the eigenvalue exp(i*angle), the change of i_omega
     as omega passes it counter-clockwise; None unless the eigenvalue is
     simple and its Krein form definite."""
@@ -414,28 +410,43 @@ def _krein_step(eigvals, eigvecs, angle: float, J: np.ndarray):
     if np.count_nonzero(near) != 1:
         return None
     v = eigvecs[:, near][:, 0]                  # unit norm from np.linalg.eig
-    kappa = float((-1j * v.conj() @ J @ v).real)
+    kappa = float((-1j * v.conj() @ standard_J(len(v) // 2) @ v).real)
     return None if abs(kappa) < _KREIN_MIN else -int(np.sign(kappa))
 
 
-def _arc_table(comp: IndexComputer, angles: list, eigvals, eigvecs):
+def _first_arc_value(eigvals, i_1: int, nu_1: int, n: int):
+    """i_omega on the first arc after 1, i(y) + n + 1 by S+_M(1) = 1, when
+    nu(y) = 1 and exactly two eigenvalues (the N_1(1, 1) block) lie within
+    _ONE_CLUSTER_TOL of 1; else None."""
+    at_one = np.count_nonzero(np.abs(eigvals - 1.0) < _ONE_CLUSTER_TOL)
+    return i_1 + n + 1 if nu_1 == 1 and at_one == 2 else None
+
+
+def _krein_on_point(table, eigvals, eigvecs, a: float):
+    """(i_omega, 1) at the eigen-angle a if its eigenvalue is simple and
+    Krein-definite (-1 never is: its multiplicity is even): the arc ending
+    at a less the splitting number S- = (1 - step)/2; else None."""
+    step = _krein_step(eigvals, eigvecs, a)
+    before = next(i for _, hi, i in table if hi == a)
+    return None if step is None else (before - (1 - step) // 2, 1)
+
+
+def _arc_table(comp: IndexComputer, angles: list, eigvals, eigvecs, first):
     """(lo, hi, i_omega) on each arc between consecutive eigen-angles.
 
-    The first arc is scanned.  An arc whose midpoint mirrors into an arc
-    already known takes its value (i_conj(omega) = i_omega); an arc that
-    starts at a simple Krein-definite eigenvalue in (0, pi) takes the
-    previous value plus the Krein step; any other arc is scanned.
+    The first arc takes ``first`` unless None.  An arc whose midpoint
+    mirrors into a known arc takes its value (i_conj(omega) = i_omega); an
+    arc that starts at a simple Krein-definite eigenvalue in (0, pi) takes
+    the previous value plus the Krein step; any other arc is scanned.
     """
     bounds = angles + [angles[0] + _TWO_PI]
-    J = standard_J(comp.n)
     table = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo < 1e-9:
-            continue
         mid = 0.5 * (lo + hi)
-        i_om = next((i for a, b, i in table if a < _TWO_PI - mid < b), None)
+        i_om = next((i for a, b, i in table if a < _TWO_PI - mid < b),
+                    None if table else first)
         if i_om is None and table and lo < np.pi:
-            step = _krein_step(eigvals, eigvecs, lo, J)
+            step = _krein_step(eigvals, eigvecs, lo)
             i_om = None if step is None else table[-1][2] + step
         if i_om is None:
             i_om = comp.omega_index(mid)
@@ -508,10 +519,9 @@ def compute_orbit_index_data(orbit_id: str, comp: IndexComputer, *,
     its path: records, mean index, minimal period.
 
     The monodromy is eigen-decomposed once.  The scanner runs over the
-    first period only: at omega = 1, on the arcs the Krein step and the
-    conjugate mirror do not reach (see ``_arc_table``; one arc for a
-    spectrum of simple Krein-definite eigenvalues) and at each rational
-    eigen-angle's root of unity.
+    first period only: at omega = 1, and at what the splitting numbers, the
+    Krein steps and the mirror do not reach (see the module docstring; none
+    of it for nu(y) = 1 and simple Krein-definite eigenvalues off -1).
     """
     n = comp.n
     i_1, nu_1 = comp.index_pair(1)
@@ -519,14 +529,16 @@ def compute_orbit_index_data(orbit_id: str, comp: IndexComputer, *,
     angles = unit_spectrum_angles(eigvals)
     if not angles or angles[0] > 1e-12:
         angles = [0.0] + angles
-    arc_table = _arc_table(comp, angles, eigvals, eigvecs)
+    arc_table = _arc_table(comp, angles, eigvals, eigvecs,
+                           _first_arc_value(eigvals, i_1, nu_1, n))
     on_point = {}
     for a in angles:
         turn = rational_turn(a, angle_tol, q_max)
         if turn == 0:
             on_point[a] = (i_1 + n, nu_1)
         elif turn is not None:
-            on_point[a] = comp.omega_pair(_TWO_PI * float(turn))
+            on_point[a] = (_krein_on_point(arc_table, eigvals, eigvecs, a)
+                           or comp.omega_pair(_TWO_PI * float(turn)))
     it = IterationData(dim_n=n, eigen_angles=angles, arc_table=arc_table,
                        on_point=on_point, angle_tol=angle_tol)
     return index_data_from_iteration(orbit_id, it, m_max=m_max, q_max=q_max)

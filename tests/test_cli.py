@@ -475,6 +475,17 @@ AUDITS = ("audit_symplecticity.json", "audit_bott.json", "audit_k_shift.json",
           "audit_convexity.json")
 
 
+def test_every_json_report_is_an_object(tmp_path):
+    # readers of the reports (the audit, resume, the benchmark's checks)
+    # call .get on every decoded file
+    argv = [str(ROOT / "configs" / "circle.json"), "--out-dir", str(tmp_path)]
+    for command in (["run"], ["run", "--stages", "resonance"], ["audit"]):
+        assert main([command[0], *argv, *command[1:]]) == 0
+        for path in tmp_path.glob("*.json"):
+            assert isinstance(json.loads(path.read_text()), dict), path.name
+    assert {p.name for p in tmp_path.glob("*.json")} >= set(AUDITS)
+
+
 def test_audit_fails_a_tampered_index_report(tmp_path, capsys):
     # the audit checks the stored records, not a recomputation of its own
     cfg_path = write_config(tmp_path)

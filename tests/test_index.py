@@ -7,8 +7,8 @@ import pytest
 
 from charlab.cli import bott_witness
 from charlab.errors import InvariantViolation, NumericFailure
-from charlab.flow import SymplecticPath
-from charlab.index import (IndexComputer, IterationData,
+from charlab.flow import SymplecticPath, integrate_linearized
+from charlab.index import (IndexComputer, IterationData, _first_arc_value,
                            compute_orbit_index_data, dimension_shift,
                            extend_records, minimal_period_K,
                            unit_spectrum_angles)
@@ -396,15 +396,16 @@ def test_iteration_formula_endpoint_term_at_eigenvalue():
 
 @pytest.fixture
 def omega_scans(monkeypatch):
-    """Angles of every IndexComputer.omega_index call from here on."""
+    """Angles of every omega scan from here on: every
+    IndexComputer.omega_pair call, omega_index's included."""
     calls = []
-    original = IndexComputer.omega_index
+    original = IndexComputer.omega_pair
 
     def spy(self, angle):
         calls.append(angle)
         return original(self, angle)
 
-    monkeypatch.setattr(IndexComputer, "omega_index", spy)
+    monkeypatch.setattr(IndexComputer, "omega_pair", spy)
     return calls
 
 
@@ -428,7 +429,7 @@ def test_krein_steps_of_both_signs(omega_scans):
     table, scans = arc_table_and_scans("k", path, omega_scans)
     assert [round(lo, 9) for lo, _, _ in table[1:3]] == [1.1, 2.3]
     assert [b[2] - a[2] for a, b in zip(table[:2], table[1:3])] == [-1, 1]
-    assert scans == 1
+    assert scans == 0
 
 
 def test_opposite_krein_signs_fall_back_to_a_scan(omega_scans):
@@ -437,14 +438,83 @@ def test_opposite_krein_signs_fall_back_to_a_scan(omega_scans):
     path = direct_sum_path([circle_block(), uniform_turn(2.0),
                             uniform_turn(-2.0)])
     table, scans = arc_table_and_scans("k", path, omega_scans)
-    assert len(table) == 3 and scans == 2
+    assert len(table) == 3 and scans == 1
 
 
-def test_one_omega_scan_per_orbit(ell3_bundle, omega_scans):
+def test_no_omega_scan_per_orbit(ell3_bundle, omega_scans):
     for oid, path in ell3_bundle.paths.items():
         omega_scans.clear()
         table, scans = arc_table_and_scans(oid, path, omega_scans)
-        assert len(table) == 5 and scans == 1, oid
+        assert len(table) == 5 and scans == 0, oid
+
+
+def test_first_arc_value_needs_the_one_block_alone():
+    # the N_1(1, 1) block splits numerically by ~sqrt(defect) around 1
+    at_one = [1.0 + 1e-6, 1.0 - 1e-6]
+    turn = list(np.exp([1.3j, -1.3j]))
+    assert _first_arc_value(np.array(at_one + turn), 3, 1, 2) == 6
+    assert _first_arc_value(np.array(at_one + turn), 3, 2, 2) is None
+    assert _first_arc_value(np.array(at_one + at_one), 3, 1, 2) is None
+    # an eigenvalue just outside the cluster tolerance is not in the block
+    assert _first_arc_value(np.array(at_one + [1.0 + 2e-4, 1 / (1.0 + 2e-4)]),
+                            3, 1, 2) == 6
+
+
+def test_nullity_two_falls_back_to_one_scan(omega_scans):
+    # two circle blocks: four eigenvalues at 1 and nu(y) = 2, so no
+    # splitting-number shortcut; the one arc (0, 2pi) is scanned
+    path = direct_sum_path([circle_block(), circle_block()])
+    assert IndexComputer(path).index_pair(1)[1] == 2
+    table, scans = arc_table_and_scans("c2", path, omega_scans)
+    assert len(table) == 1 and scans == 1
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.8])
+def test_first_arc_by_splitting_number_matches_a_scan(
+        alpha, circle_bundle, ell2_bundle, ell3_bundle, perturbed_bundle):
+    # the old first-arc omega scan is the oracle, on paths of j^alpha
+    for bundle in (circle_bundle, ell2_bundle, ell3_bundle, perturbed_bundle):
+        paths = integrate_linearized(
+            bundle.surface, {o.orbit_id: (o.trajectory.x0, o.prime_period)
+                             for o in bundle.orbits}, alpha, tol=1e-12)
+        for oid, path in paths.items():
+            comp = IndexComputer(path)
+            i_1, nu_1 = comp.index_pair(1)
+            eigvals = np.linalg.eigvals(path.end_monodromy)
+            first = _first_arc_value(eigvals, i_1, nu_1, path.n)
+            angles = unit_spectrum_angles(eigvals) + [2 * np.pi]
+            assert first is not None, (oid, alpha)
+            assert first == comp.omega_index(0.5 * angles[1]), (oid, alpha)
+
+
+@pytest.mark.parametrize("total", [2 * np.pi + 2 * np.pi / 3,
+                                   -(2 * np.pi + 2 * np.pi / 5)])
+def test_on_point_values_by_krein_need_no_scan(total, omega_scans):
+    # rational eigen-angles 2pi/3, 4pi/3 (kappa > 0) or 2pi/5, 8pi/5
+    # (kappa < 0): each value on an eigenvalue is the arc before it less S-
+    path = direct_sum_path([circle_block(), uniform_turn(total)])
+    d = compute_orbit_index_data("r", IndexComputer(path), m_max=12)
+    assert omega_scans == []
+    assert len(d.iteration.on_point) == 3
+    scanner = IndexComputer(path)
+    # each value on its own: the iterates see only conjugate pairs' sums
+    for a, pair in d.iteration.on_point.items():
+        if a:
+            assert pair == scanner.omega_pair(a), a
+    for m in range(1, 13):
+        assert (d.index(m), d.nullity(m)) == scanner.index_pair(m), m
+
+
+def test_tied_roots_scan_minus_one_and_a_degenerate_first_arc(
+        tied_root_bundle, omega_scans):
+    # radii [1, sqrt 2]: y1's eigenvalue -1 is double, so the value on it is
+    # scanned (its arcs, with midpoints pi/2 and 3pi/2, are not); y2 has
+    # nu(y) = 3, so its one arc (0, 2pi) is scanned at its midpoint pi
+    for oid in ("y1", "y2"):
+        omega_scans.clear()
+        compute_orbit_index_data(
+            oid, IndexComputer(tied_root_bundle.paths[oid]), m_max=8)
+        assert omega_scans == [np.pi], oid
 
 
 def test_extend_records(circle_bundle):
