@@ -28,7 +28,7 @@ import numpy as np
 
 from . import galerkin as gk
 from .errors import (CharlabError, ConsistencyFailure, InvalidArgument,
-                     NumericFailure)
+                     InvariantViolation, NumericFailure)
 from .flow import integrate_linearized, path_max_defect
 from .geometry import check_surface_invariants, lattice_gap, surface_from_spec
 from .index import (IndexComputer, IterationData, compute_orbit_index_data,
@@ -216,13 +216,19 @@ class RunConfig:
             raise InvalidArgument(
                 f"config field galerkin.K: K*T = {K * T} is within "
                 f"1e-6 of a multiple of 2*pi")
+        morse, n = block["morse"], len(block["surface"]["radii"])
+        if morse["enable"] and min(morse["N_list"]) <= 2 * n * n:
+            raise InvalidArgument(
+                f"config key 'morse.N_list' must hold integers above 2n^2 = "
+                f"{2 * n * n} (n = {n}, the number of surface.radii), got "
+                f"{morse['N_list']}")
         tables = block["k_tables"]
         return cls(
             surface_spec=raw["surface"],    # as given: surface_check.json embeds it
             out_dir=Path(block["out_dir"]), seed=block["seed"],
             stages=tuple(block["stages"]), tolerances=block["tolerances"],
             index_opts=block["index"], galerkin=opts, galerkin_enable=enable,
-            morse_opts=block["morse"],
+            morse_opts=morse,
             k_tables=_load_k_tables(None if tables is None else path.parent / tables))
 
 
@@ -260,7 +266,7 @@ def _registry(cfg, surface) -> list:
 
 def stage_geometry(cfg, surface):
     rng = np.random.default_rng(cfg.seed)
-    report = check_surface_invariants(surface, rng=rng)
+    report = check_surface_invariants(surface, rng)
     _dump({"surface": cfg.surface_spec, "checks": report},
           cfg.out_dir / "surface_check.json")
 
@@ -277,7 +283,7 @@ def stage_orbits(cfg, surface):
     extra = {"gates": gates}
     if cfg.galerkin_enable:
         extra["galerkin"] = _galerkin_cross_validate(cfg, surface, orbits)
-    write_registry(orbits, cfg.out_dir / "orbits.json", extra=extra)
+    write_registry(orbits, cfg.out_dir / "orbits.json", extra)
 
 
 def _galerkin_cross_validate(cfg, surface, orbits) -> dict:
@@ -307,10 +313,10 @@ def _check_k_periodic(d):
     extend_records(d, 4 * K)
     for p in range(1, 3 * K + 1):
         if d.nullity(p + K) != d.nullity(p):
-            raise CharlabError(
+            raise InvariantViolation(
                 f"orbit {d.orbit_id}: nullity not K-periodic at p={p}")
         if (d.index(p + K) - d.index(p)) % 2 != 0:
-            raise CharlabError(
+            raise InvariantViolation(
                 f"orbit {d.orbit_id}: index parity not K-periodic at p={p}")
 
 
@@ -346,7 +352,7 @@ def stage_index(cfg, surface):
                           "prime_period": orb.prime_period},
             **_index_summary(d),
             "symplecticity_defect": path.defect,
-            "method": d.method,
+            "method": "both",
         }
     _dump(report, cfg.out_dir / "index_report.json")
 
@@ -365,6 +371,9 @@ def stage_index_from_files(cfg, surface, orbits):
     except (KeyError, TypeError, ValueError) as e:
         raise ConsistencyFailure(f"{report_path.name} unreadable ({e!r}); "
                                  f"rerun the index stage")
+    if not isinstance(stored, dict):
+        raise ConsistencyFailure(f"{report_path.name}: 'orbits' is not an "
+                                 f"object; rerun the index stage")
     ids = sorted(orb.orbit_id for orb in orbits)
     if sorted(stored) != ids:
         raise ConsistencyFailure(
@@ -373,6 +382,9 @@ def stage_index_from_files(cfg, surface, orbits):
     data = {}
     for orb in orbits:
         oid, block = orb.orbit_id, stored[orb.orbit_id]
+        if not isinstance(block, dict):
+            raise ConsistencyFailure(f"{report_path.name}, orbit {oid}: not "
+                                     f"an object; rerun the index stage")
 
         def stale(key, what):
             return ConsistencyFailure(

@@ -37,10 +37,6 @@ class ConsistencyFailure(CharlabError):
     """Two independent computations of the same quantity disagree."""
 
 
-class IncompleteInput(CharlabError):
-    """Required user-supplied data (e.g. a degenerate type-number table) is missing."""
-
-
 class TableRuleViolation(InvalidArgument):
     """A critical-type-number table violates one of the structural rules.
 

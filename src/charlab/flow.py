@@ -30,6 +30,10 @@ from .geometry import Hypersurface
 from .ode import DenseSolution, dop853
 from .sympl import project_symplectic, standard_J, symplectic_defect
 
+LOOP_SAMPLES = 257      # uniform samples of a stored loop, whatever found it
+_PATH_SAMPLES = 513     # samples of a linearized path over one period
+_DEFECT_GATE = 1e-6     # sampled symplecticity defect a path may not exceed
+
 
 @dataclass
 class Trajectory:
@@ -38,7 +42,6 @@ class Trajectory:
     ts: np.ndarray
     xs: np.ndarray
     closure_residual: float
-    energy_drift: float
     sol: object = field(repr=False, default=None)
 
     @property
@@ -86,18 +89,16 @@ class SymplecticPath:
         return self.S_of_t(float(t) % self.period)
 
 
-def integrate_flow(surface: Hypersurface, x0, t_end: float, tol: float = 1e-10,
-                   n_samples: int = 257) -> Trajectory:
-    """Adaptive high-order integration of xdot = J grad j(x).
+def integrate_flow(surface: Hypersurface, x0, t_end: float, *,
+                   tol: float) -> Trajectory:
+    """Adaptive high-order integration of xdot = J grad j(x) over
+    [0, t_end], t_end > 0, sampled at ``LOOP_SAMPLES`` uniform times.
 
     Reported local error tolerance is ``tol``; the drift of j along the
     returned samples must stay within 10 * tol * max(1, t_end) * scale.
     """
     x0 = np.asarray(x0, dtype=float)
     J = standard_J(surface.dim_n)
-    if t_end == 0.0:
-        return Trajectory(ts=np.zeros(1), xs=x0[None, :], closure_residual=0.0,
-                          energy_drift=0.0)
     h0 = float(surface.gauge(x0))
 
     def rhs(t, x):
@@ -106,30 +107,29 @@ def integrate_flow(surface: Hypersurface, x0, t_end: float, tol: float = 1e-10,
     scale = max(1.0, float(np.linalg.norm(x0)))
     rtol = max(1e-2 * tol, 3e-14)   # local control well under the drift budget
     res = dop853(rhs, (0.0, t_end), x0, rtol, rtol * scale, dense_output=True)
-    ts = np.linspace(0.0, t_end, n_samples)
+    ts = np.linspace(0.0, t_end, LOOP_SAMPLES)
     xs = res.sol(ts).T
-    drift = _energy_drift(surface, xs, h0, t_end, tol)
+    _energy_drift(surface, xs, h0, t_end, tol)
     return Trajectory(ts=ts, xs=xs,
                       closure_residual=float(np.linalg.norm(xs[-1] - x0)),
-                      energy_drift=drift, sol=res.sol)
+                      sol=res.sol)
 
 
 def _energy_drift(surface: Hypersurface, xs, h0: float, t_end: float,
-                  tol: float, where: str = "") -> float:
-    """Largest |j(x) - h0| over the samples; raises above the budget
-    10 * tol * max(1, t_end) * max(1, |h0|), its message led by ``where``."""
+                  tol: float, where: str = ""):
+    """Raises when the largest |j(x) - h0| over the samples exceeds the
+    budget 10 * tol * max(1, t_end) * max(1, |h0|), its message led by
+    ``where``."""
     energies = np.asarray(surface.gauge(xs), dtype=float)
     drift = float(np.max(np.abs(energies - h0)))
     budget = 10.0 * tol * max(1.0, abs(t_end)) * max(1.0, abs(h0))
     if drift > budget:
         raise NumericFailure(f"{where}energy drift exceeds tolerance budget",
                              drift=drift, budget=budget)
-    return drift
 
 
 def integrate_linearized(surface: Hypersurface, starts: dict, alpha: float,
-                         tol: float = 1e-11, n_samples: int = 513,
-                         defect_gate: float = 1e-6) -> dict:
+                         *, tol: float) -> dict:
     """Integrate R' = J S(x(t)) R, S(x) = (alpha-1) g g^T + hess j, jointly
     with the flow, for every orbit id -> (x0, tau) of ``starts`` in one
     DOP853 solve; returns orbit id -> its path over [0, tau].
@@ -138,7 +138,7 @@ def integrate_linearized(surface: Hypersurface, starts: dict, alpha: float,
     stacked; the step control is the RMS error norm over the whole stack,
     with atol = rtol max(1, min |x0|).  Each orbit keeps its own gates,
     which name it: its drift of j is held to ``integrate_flow``'s budget, a
-    sampled symplecticity defect above ``defect_gate`` raises, and above
+    sampled symplecticity defect above ``_DEFECT_GATE`` raises, and above
     1e-10 its end monodromy is retracted onto Sp(2n), while the stored
     samples stay as integrated.
     """
@@ -167,14 +167,14 @@ def integrate_linearized(surface: Hypersurface, starts: dict, alpha: float,
         cols = slice(k * w, (k + 1) * w)    # views: one orbit's columns only
         sol = DenseSolution(stack.ts * tau, stack.y_old[:, cols],
                             stack.F[:, :, cols])
-        ts = np.linspace(0.0, tau, n_samples)
+        ts = np.linspace(0.0, tau, _PATH_SAMPLES)
         ys = sol(ts)
         _energy_drift(surface, ys[:d].T, float(surface.gauge(x0s[k])), tau,
                       tol, f"orbit {oid}: ")
         Rs = ys[d:].T.reshape(len(ts), d, d)
         defect = float(np.max(symplectic_defect(
             np.concatenate([Rs[:: max(1, len(ts) // 32)], Rs[-1:]]), J)))
-        if defect > defect_gate:
+        if defect > _DEFECT_GATE:
             raise NumericFailure(f"orbit {oid}: symplecticity defect too "
                                  f"large; refine steps", defect=defect)
         monodromy = Rs[-1] if defect <= 1e-10 else project_symplectic(Rs[-1], J)

@@ -35,13 +35,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, NumericFailure, SearchFailure
-from .flow import Trajectory
+from .flow import LOOP_SAMPLES, Trajectory
 from .geometry import HamiltonianSpec, Hypersurface, spec_for_period
 from .index import dimension_shift
 from .orbits import ClosedCharacteristic
 
 _TWO_PI = 2.0 * np.pi
 MAX_MODE_CUT = 4096     # the loop arrays grow with the cut; shipped cuts are <= 52
+_NEWTON_TOL = 1e-10     # gradient norm of a critical loop
+_NEWTON_ITER = 60
+_NULL_TOL = 1e-7        # relative eigenvalue bar of the reduced Hessian's kernel
+_COEFF_TOL = 1e-8       # modes below this share of the largest are empty
+_K_GRID_POINTS = 5
 
 
 def estimate_dual_modulus(spec, rng) -> float:
@@ -171,10 +176,8 @@ class GalerkinSystem:
         Hmat[np.diag_indices(2 * half)] += np.concatenate([dvals, dvals]) * (T / N**2)
         return 0.5 * (Hmat + Hmat.T)
 
-    # ---- inner problem and the reduced functional ---------------------------
     # ---- critical points -----------------------------------------------------
-    def newton_critical(self, vec0: np.ndarray, tol: float = 1e-10,
-                        max_iter: int = 60) -> np.ndarray:
+    def newton_critical(self, vec0: np.ndarray) -> np.ndarray:
         """Bordered Newton for Psi'(u) = 0 with a time-shift phase pin."""
         metric = self.spec.period_T / self.n_grid**2
         l2 = lambda v: float(np.linalg.norm(v)) / np.sqrt(metric)
@@ -187,10 +190,10 @@ class GalerkinSystem:
         phase_vec /= pn
         vec = vec0.copy()
         dim = self.dim_vec
-        for it in range(max_iter):
+        for it in range(_NEWTON_ITER):
             g = self.gradient(vec)
             resid = l2(g)
-            if resid <= tol:
+            if resid <= _NEWTON_TOL:
                 return vec
             H = self.hessian(vec)
             A = np.zeros((dim + 1, dim + 1))
@@ -210,7 +213,7 @@ class GalerkinSystem:
             vec = vec + lam * step
         raise SearchFailure(f"critical-point Newton did not converge ({resid:.3g})")
 
-    def morse_data(self, vec_crit: np.ndarray, null_tol: float = 1e-7):
+    def morse_data(self, vec_crit: np.ndarray):
         """(morse index, nullity) of the reduced functional at a critical point.
 
         The reduced Hessian is the Schur complement of the non-G block of the
@@ -227,8 +230,8 @@ class GalerkinSystem:
         red = A - B @ np.linalg.solve(D, B.T)
         ev = np.linalg.eigvalsh(red)
         scale = max(float(np.max(np.abs(ev))), 1e-300)
-        morse = int(np.sum(ev < -null_tol * scale))
-        nullity = int(np.sum(np.abs(ev) <= null_tol * scale))
+        morse = int(np.sum(ev < -_NULL_TOL * scale))
+        nullity = int(np.sum(np.abs(ev) <= _NULL_TOL * scale))
         return morse, nullity, ev
 
 
@@ -241,7 +244,7 @@ def build_galerkin(spec, mode_cut: int, *, omega: float) -> GalerkinSystem:
     if mode_cut > MAX_MODE_CUT:
         raise NumericFailure(f"mode cut {mode_cut} exceeds the cap "
                              f"MAX_MODE_CUT = {MAX_MODE_CUT}")
-    n = spec.surface.dim_n if hasattr(spec, "surface") else spec.dim_n
+    n = spec.surface.dim_n
     T = spec.period_T
     lo = -spec.K * T / _TWO_PI
     hi = (2.0 / omega - spec.K) * T / _TWO_PI
@@ -268,12 +271,12 @@ class ReductionOptions:
     sampled curvature bound; ``mode_cut = None`` picks the smallest cut that
     holds the threshold set of G, plus 8 modes."""
 
-    T: float = 1.0
-    ratio: float = 0.8
-    theta: float = 0.08
-    alpha: float = 1.92
-    K: float | None = None
-    mode_cut: int | None = None
+    T: float
+    ratio: float
+    theta: float
+    alpha: float
+    K: float | None
+    mode_cut: int | None
 
     def spec(self, surface: Hypersurface, tau: float, *,
              seed: int) -> HamiltonianSpec:
@@ -330,13 +333,13 @@ def seed_from_orbit(sys: GalerkinSystem, orbit: ClosedCharacteristic,
     return sys.vec_from_coeffs(C * lam[:, None])
 
 
-def orbit_from_critical(sys: GalerkinSystem, vec: np.ndarray, orbit_id: str,
-                        n_samples: int = 257, coeff_tol: float = 1e-8):
+def orbit_from_critical(sys: GalerkinSystem, vec: np.ndarray, orbit_id: str):
     """Convert a critical loop back to a canonical-clock characteristic.
 
-    Returns (orbit, info) with the gauge level rho, the loop period read off
-    the slope-ratio relation, the iterate multiplicity detected from the
-    coefficient support, and the critical value of the dual action.
+    Returns (orbit, info): the orbit's period is read off the slope-ratio
+    relation and its critical value is the dual action; info holds the gauge
+    level rho and the iterate multiplicity detected from the coefficient
+    support.
     """
     spec = sys.spec
     C = sys.coeffs_from_vec(vec)
@@ -344,32 +347,28 @@ def orbit_from_critical(sys: GalerkinSystem, vec: np.ndarray, orbit_id: str,
     Xc = C / lam[:, None]
     z = sys.grid_z_from_coeffs(Xc)
     x = sys.x_from_z(z)
-    levels = spec.surface.gauge(x)
-    rho = float(np.mean(levels))
-    level_spread = float(np.max(np.abs(levels - rho)))
+    rho = float(np.mean(spec.surface.gauge(x)))
     ratio = spec.aux.slope_ratio(rho)
     tau_total = spec.a * spec.period_T * float(ratio)
     weights = np.linalg.norm(Xc, axis=1)
-    big = np.nonzero(weights > coeff_tol * np.max(weights))[0]
+    big = np.nonzero(weights > _COEFF_TOL * np.max(weights))[0]
     mult = 0
     for i in big:
         mult = math.gcd(mult, abs(int(sys.freqs[i])))
     mult = max(mult, 1)
     tau_prime = tau_total / mult
     # resample one prime wrap of y(s) = x(s T / tau_total)/rho on [0, tau_prime)
-    ss = np.linspace(0.0, tau_prime, n_samples)
+    ss = np.linspace(0.0, tau_prime, LOOP_SAMPLES)
     t_eval = ss * spec.period_T / tau_total
     phases = np.exp(2j * np.pi * np.outer(t_eval / spec.period_T, sys.freqs))
     y_z = phases @ Xc / sys.n_grid / rho
     ys = np.concatenate([y_z.real, y_z.imag], axis=-1)
     traj = Trajectory(ts=ss, xs=ys,
-                      closure_residual=float(np.linalg.norm(ys[-1] - ys[0])),
-                      energy_drift=0.0)
+                      closure_residual=float(np.linalg.norm(ys[-1] - ys[0])))
     orb = ClosedCharacteristic(orbit_id=orbit_id, prime_period=float(tau_prime),
                                trajectory=traj, provenance="galerkin", rho=rho,
                                critical_value=float(sys.value(vec)))
-    info = {"rho": rho, "level_spread": level_spread, "multiplicity": mult,
-            "tau_total": tau_total}
+    info = {"rho": rho, "multiplicity": mult}
     return orb, info
 
 
@@ -384,13 +383,13 @@ def critical_value_formula(spec: HamiltonianSpec, rho: float) -> float:
 # K-shift audit
 
 
-def suggest_K_grid(spec: HamiltonianSpec, n_points: int = 5) -> list:
+def suggest_K_grid(spec: HamiltonianSpec) -> list:
     """A K grid starting at ``spec``'s K (the auto-convexity floor in the
     audit) and spanning at least one 2 pi / T multiple (so the dimension
     shift d(K) jumps inside the grid)."""
     T = spec.period_T
     step = _TWO_PI / T
-    offsets = np.linspace(0.0, 1.25 * step, n_points)
+    offsets = np.linspace(0.0, 1.25 * step, _K_GRID_POINTS)
     grid = []
     for off in offsets:
         K = spec.K + off
@@ -417,8 +416,8 @@ class KShiftCheck:
 
 
 def k_shift_audit(spec: HamiltonianSpec, orbit: ClosedCharacteristic,
-                  K_values, *, seed: int, iterate_m: int = 1,
-                  path_index: int = 0, path_nullity: int = 1) -> KShiftCheck:
+                  K_values, *, seed: int, path_index: int, path_nullity: int,
+                  iterate_m: int = 1) -> KShiftCheck:
     """Morse data of the reduced functional across a K grid.
 
     ``spec`` is the Hamiltonian for period iterate_m * tau; each K of the

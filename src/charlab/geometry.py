@@ -29,6 +29,13 @@ from .ode import brentq
 from .sympl import standard_J
 
 _TWO_PI = 2.0 * np.pi
+_INVARIANT_SAMPLES = 100    # random points of check_surface_invariants
+_INVARIANT_TOL = 1e-8       # its homogeneity and Euler-identity bar
+_CLOUD_POINTS = 400         # construction cloud of a HamiltonianSpec
+_FENCHEL_TOL = 1e-12        # relative gradient residual of the dual solve
+_FENCHEL_ITER = 80
+_OFF_RESONANCE_GAP = 1e-2   # least distance of an automatic K*T from 2*pi*Z
+_CUTOFF_MARGIN = 4.0        # blend start over the orbit's gauge level
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +155,7 @@ def make_perturbed_ellipsoid(radii, coeffs, magnitude) -> Hypersurface:
     surf = Hypersurface(n, gauge, gauge_grad, jet, "perturbed_ellipsoid",
                         {"radii": np.asarray(radii, dtype=float),
                          "coeffs": c, "magnitude": delta})
-    check_surface_invariants(surf, rng=np.random.default_rng(0))
+    check_surface_invariants(surf, np.random.default_rng(0))
     return surf
 
 
@@ -166,17 +173,15 @@ def surface_from_spec(spec: dict) -> Hypersurface:
     raise InvalidArgument(f"unknown surface kind {kind!r}")
 
 
-def check_surface_invariants(surface: Hypersurface, rng=None, n_samples: int = 100,
-                             tol: float = 1e-8) -> dict:
+def check_surface_invariants(surface: Hypersurface, rng) -> dict:
     """Sampled gauge invariants: homogeneity, the degree-1 Euler identity,
     star-shapedness, and agreement of grad/hess with finite differences.
 
     Returns the worst observed defects; raises ConstructionFailure when a
     hard invariant fails.
     """
-    rng = rng or np.random.default_rng(0)
     d = surface.dim
-    X = rng.normal(size=(n_samples, d))
+    X = rng.normal(size=(_INVARIANT_SAMPLES, d))
     X = X[np.linalg.norm(X, axis=1) > 1e-3]
     lam = rng.uniform(0.5, 3.0, size=X.shape[0])
 
@@ -201,7 +206,7 @@ def check_surface_invariants(surface: Hypersurface, rng=None, n_samples: int = 1
     report = {"homogeneity": float(hom), "euler": float(euler),
               "star_min": float(star), "grad_fd": worst_grad,
               "hess_fd": worst_hess}
-    if hom > tol or euler > tol:
+    if hom > _INVARIANT_TOL or euler > _INVARIANT_TOL:
         raise ConstructionFailure(f"gauge homogeneity/Euler defect too large: {report}")
     if star <= 0:
         raise ConstructionFailure(f"surface is not star-shaped: {report}")
@@ -450,7 +455,7 @@ class HamiltonianSpec:
     K: float | None
     eps_a: float
     cutoff_A: float
-    rng_seed: int = 0
+    rng_seed: int
 
     def __post_init__(self):
         if self.a <= 0 or self.period_T <= 0:
@@ -568,7 +573,7 @@ class HamiltonianSpec:
         return self.hess(x) + self.K * eye
 
     # -- Fenchel dual ---------------------------------------------------------
-    def fenchel_batch(self, Y, tol: float = 1e-12, max_iter: int = 80):
+    def fenchel_batch(self, Y):
         """Legendre transform of H_K at the rows of Y.
 
         Returns (values, maximisers); the gradient of the dual at y is the
@@ -588,8 +593,8 @@ class HamiltonianSpec:
         X[np.linalg.norm(X, axis=1) < 1e-12] = 1e-9    # keep off the gauge cone tip
         res = self.hk_grad(X) - Y
         rnorm = np.linalg.norm(res, axis=1)
-        active = rnorm > tol * scale
-        for _ in range(max_iter):
+        active = rnorm > _FENCHEL_TOL * scale
+        for _ in range(_FENCHEL_ITER):
             if not np.any(active):
                 break
             Xa = X[active]
@@ -619,7 +624,7 @@ class HamiltonianSpec:
                 tnorm = np.linalg.norm(tres, axis=1)
             res[active] = tres
             rnorm[active] = tnorm
-            active = rnorm > tol * scale
+            active = rnorm > _FENCHEL_TOL * scale
         if np.any(active):
             raise NumericFailure("Fenchel Newton solve did not converge",
                                  residual=float(np.max(rnorm[active])),
@@ -628,11 +633,11 @@ class HamiltonianSpec:
         return vals, X
 
     # -- the construction cloud ------------------------------------------------
-    def _sample_cloud(self, rng, n_pts=400):
+    def _sample_cloud(self, rng):
         d = self.surface.dim
-        dirs = rng.normal(size=(n_pts, d))
+        dirs = rng.normal(size=(_CLOUD_POINTS, d))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        radii = np.geomspace(1e-3, 2.5 * self.r_B, n_pts)
+        radii = np.geomspace(1e-3, 2.5 * self.r_B, _CLOUD_POINTS)
         return dirs * radii[:, None]
 
 
@@ -645,39 +650,39 @@ def lattice_gap(K: float, period_T: float) -> float:
     return abs(KT - _TWO_PI * round(KT / _TWO_PI))
 
 
-def _off_resonance(K: float, period_T: float, gap: float = 1e-2) -> float:
-    """Nudge K away from the 2*pi/T lattice by at least ``gap`` in K*T."""
-    if lattice_gap(K, period_T) < gap:
-        K += 2.0 * gap / period_T
+def _off_resonance(K: float, period_T: float) -> float:
+    """Nudge K away from the 2*pi/T lattice by at least ``_OFF_RESONANCE_GAP``
+    in K*T."""
+    if lattice_gap(K, period_T) < _OFF_RESONANCE_GAP:
+        K += 2.0 * _OFF_RESONANCE_GAP / period_T
     return K
 
 
-def spec_for_period(surface: Hypersurface, tau: float, *, period_T: float = 1.0,
-                    ratio: float = 0.8, theta: float = 0.08, alpha: float = 1.92,
-                    K: float | None = None, eps_a: float | None = None,
-                    cutoff_margin: float = 4.0, rng_seed: int = 0) -> HamiltonianSpec:
+def spec_for_period(surface: Hypersurface, tau: float, *, period_T: float,
+                    ratio: float, theta: float, alpha: float, K: float | None,
+                    rng_seed: int) -> HamiltonianSpec:
     """Convenience constructor placing the orbit of period ``tau`` inside the
     homogeneous band at slope ratio ``ratio``.
 
     ``a`` is set so that tau/(a T) = ratio; the orbit then sits at gauge level
-    rho = (slope ratio)^{-1}(ratio), strictly inside the band.  The default
-    far-field eps matches the quadratic to the inner level at the blend shell
-    (capped below 2*pi/T), which keeps the convexification constant small.
+    rho = (slope ratio)^{-1}(ratio), strictly inside the band, and the blend
+    starts at ``_CUTOFF_MARGIN`` rho.  The far-field eps matches the
+    quadratic to the inner level at the blend shell (capped below 2*pi/T),
+    which keeps the convexification constant small.
     """
     if not 0.0 < ratio < 1.0 - theta:
         raise InvalidArgument("ratio must lie inside the band (0, 1-theta)")
     aux = make_aux_function(theta, alpha)
     a = tau / (ratio * period_T)
     rho = aux.solve_slope_ratio(ratio)
-    r_A = cutoff_margin * rho
+    r_A = _CUTOFF_MARGIN * rho
     cutoff_A = a * aux.phi(r_A)
-    if eps_a is None:
-        rng = np.random.default_rng(rng_seed)
-        dirs = rng.normal(size=(128, surface.dim))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        sphere = dirs / surface.gauge(dirs)[:, None]
-        s_mean = float(np.mean(np.sum(sphere * sphere, axis=1)))
-        eps_match = 2.0 * cutoff_A / (r_A**2 * s_mean)
-        eps_a = min(eps_match, 0.9 * _TWO_PI / period_T)
+    rng = np.random.default_rng(rng_seed)
+    dirs = rng.normal(size=(128, surface.dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    sphere = dirs / surface.gauge(dirs)[:, None]
+    s_mean = float(np.mean(np.sum(sphere * sphere, axis=1)))
+    eps_match = 2.0 * cutoff_A / (r_A**2 * s_mean)
+    eps_a = min(eps_match, 0.9 * _TWO_PI / period_T)
     return HamiltonianSpec(surface=surface, aux=aux, a=a, period_T=period_T,
                            K=K, eps_a=eps_a, cutoff_A=cutoff_A, rng_seed=rng_seed)

@@ -48,6 +48,14 @@ _TWO_PI = 2.0 * np.pi
 _KREIN_GAP = 1e-4
 _KREIN_MIN = 1e-3
 _ONE_CLUSTER_TOL = 1e-4           # eigenvalues this near 1 count as 1
+_CIRCLE_TOL = 1e-7                # | |lambda| - 1 | of a unit eigenvalue
+_RATIONAL_TOL = 1e-9              # an arc average this near p/q is p/q
+# the crossing scanner: grid cells per period, kernel gate on the relative
+# singular value, relative bar of a degenerate form, and nullity gate
+_N_SCAN = 2048
+_SIGMA_GATE = 1e-7
+_REG_TOL = 1e-8
+_NULLITY_TOL = 1e-6
 
 
 @dataclass
@@ -163,8 +171,7 @@ class OrbitIndexData:
     mean_index_bar: float
     slope_estimate: float
     K_of_y: int
-    iteration: IterationData | None = None
-    method: str = "both"
+    iteration: IterationData
 
     def index(self, m: int) -> int:
         return self.records[m - 1].index_i
@@ -181,17 +188,12 @@ class OrbitIndexData:
 class IndexComputer:
     """Crossing scanner over one period and over iterates of a path."""
 
-    def __init__(self, path: SymplecticPath, *, n_scan: int = 2048,
-                 sigma_gate: float = 1e-7, reg_tol: float = 1e-8,
-                 nullity_tol: float = 1e-6):
+    def __init__(self, path: SymplecticPath):
         self.path = path
         self.n = path.n
         self.d = 2 * path.n
         self.tau = path.period
-        self.sigma_gate = sigma_gate
-        self.reg_tol = reg_tol
-        self.nullity_tol = nullity_tol
-        ss = np.linspace(0.0, self.tau, n_scan + 1)
+        ss = np.linspace(0.0, self.tau, _N_SCAN + 1)
         margin = 1e-7 * self.tau
         ss[0] = margin
         ss[-1] = self.tau - margin
@@ -200,7 +202,7 @@ class IndexComputer:
         self.scan_Rs = ys[self.d:].T.reshape(len(ss), self.d, self.d)
         S0 = path.S_at(0.0)
         eig0 = np.linalg.eigvalsh(S0)
-        if np.min(np.abs(eig0)) < self.reg_tol * np.max(np.abs(eig0)):
+        if np.min(np.abs(eig0)) < _REG_TOL * np.max(np.abs(eig0)):
             raise NumericFailure("singular Hessian at the start of the path")
         sig0 = int(np.sum(eig0 > 0) - np.sum(eig0 < 0))
         if sig0 % 2:
@@ -212,7 +214,7 @@ class IndexComputer:
     # -- kernels and crossing forms -----------------------------------------
     def _kernel_dim(self, A: np.ndarray) -> int:
         s = np.linalg.svd(A, compute_uv=False)
-        return int(np.sum(s < self.nullity_tol * max(1.0, float(s[0]))))
+        return int(np.sum(s < _NULLITY_TOL * max(1.0, float(s[0]))))
 
     def nullity(self, m: int) -> int:
         return self._kernel_dim(self.path.monodromy_power(m) - np.eye(self.d))
@@ -220,7 +222,7 @@ class IndexComputer:
     def _kernel(self, A: np.ndarray, gate: float | None = None):
         _, s, Vh = np.linalg.svd(A)
         scale = max(1.0, float(s[0]))
-        mask = s < (gate or self.sigma_gate) * scale
+        mask = s < (gate or _SIGMA_GATE) * scale
         if not np.any(mask):
             return None, float(s[-1] / scale)
         return Vh[mask].conj().T, float(s[-1] / scale)
@@ -253,7 +255,7 @@ class IndexComputer:
         form = 0.5 * (form + form.conj().T)
         mu = np.linalg.eigvalsh(form)
         scale = max(np.max(np.abs(mu)), 1e-30)
-        if np.min(np.abs(mu)) < self.reg_tol * scale:
+        if np.min(np.abs(mu)) < _REG_TOL * scale:
             raise NumericFailure(
                 f"degenerate crossing form ({label})", t=float(t),
                 eigenvalues=[float(v) for v in mu])
@@ -373,7 +375,7 @@ class IndexComputer:
 
     def omega_index(self, angle: float) -> int:
         """Index at unit parameter exp(i*angle); omega must not be an
-        eigenvalue of the monodromy (at ``nullity_tol``)."""
+        eigenvalue of the monodromy (at ``_NULLITY_TOL``)."""
         i_om, nu = self.omega_pair(angle)
         if nu:
             raise NumericFailure("omega parameter hits the monodromy spectrum",
@@ -381,19 +383,19 @@ class IndexComputer:
         return i_om
 
 
-def unit_spectrum_angles(eigvals, *, circle_tol: float = 1e-7):
+def unit_spectrum_angles(eigvals):
     """Angles in [0, 2pi) of the unit-circle eigenvalues among ``eigvals``
     (the monodromy's).
 
     Eigenvalues within ``_ONE_CLUSTER_TOL`` of 1 are collapsed to angle 0:
     a defective 1-eigenvalue (the generic orbit case) splits numerically by
-    the square root of the integration defect, far beyond ``circle_tol``.
+    the square root of the integration defect, far beyond ``_CIRCLE_TOL``.
     """
     angles = []
     for lam in eigvals:
         if abs(lam - 1.0) < _ONE_CLUSTER_TOL:
             angles.append(0.0)
-        elif abs(abs(lam) - 1.0) < circle_tol:
+        elif abs(abs(lam) - 1.0) < _CIRCLE_TOL:
             angles.append(float(np.angle(lam)) % _TWO_PI)
     uniq = []
     for a in sorted(angles):
@@ -454,10 +456,10 @@ def _arc_table(comp: IndexComputer, angles: list, eigvals, eigvecs, first):
     return table
 
 
-def mean_index(arc_table, records, n: int, *, q_max: int = 64,
-               rational_tol: float = 1e-9):
+def mean_index(arc_table, records, n: int, *, q_max: int):
     """Reconciled mean index from the arc average and the slope fit;
-    returns (value, exact Fraction or None, bar, slope estimate).
+    returns (value, exact Fraction or None, bar, slope estimate).  The
+    value is exact when within ``_RATIONAL_TOL`` of a p/q, q <= ``q_max``.
 
     ``arc_table`` lists (lo, hi, i_omega) over the arcs of the circle;
     ``records`` is the list of IndexRecord for m = 1..M (M >= 2n + 2).
@@ -484,12 +486,12 @@ def mean_index(arc_table, records, n: int, *, q_max: int = 64,
             f"(max deviation {float(np.max(dev)):.3g})")
 
     frac = Fraction(ihat).limit_denominator(q_max)
-    fraction = frac if abs(float(frac) - ihat) <= rational_tol else None
+    fraction = frac if abs(float(frac) - ihat) <= _RATIONAL_TOL else None
     return float(ihat), fraction, bar, slope
 
 
-def rational_turn(angle: float, angle_tol: float = 1e-7,
-                  q_max: int = 64) -> Fraction | None:
+def rational_turn(angle: float, *, angle_tol: float,
+                  q_max: int) -> Fraction | None:
     """The turn p/q (q <= q_max) within ``angle_tol`` of the angle, or None;
     raises when several admissible rationals match."""
     ratio = angle / _TWO_PI
@@ -505,16 +507,16 @@ def rational_turn(angle: float, angle_tol: float = 1e-7,
     return next(iter(matches)) if matches else None
 
 
-def minimal_period_K(angles, angle_tol: float = 1e-7, q_max: int = 64) -> int:
+def minimal_period_K(angles, *, angle_tol: float, q_max: int) -> int:
     """Twice the lcm of denominators of the rational turns among the unit
     eigenvalue angles; 2 when none are rational."""
-    turns = [rational_turn(a, angle_tol, q_max) for a in angles]
+    turns = [rational_turn(a, angle_tol=angle_tol, q_max=q_max) for a in angles]
     return 2 * math.lcm(*(t.denominator for t in turns if t is not None))
 
 
 def compute_orbit_index_data(orbit_id: str, comp: IndexComputer, *,
-                             m_max: int = 20, q_max: int = 64,
-                             angle_tol: float = 1e-7) -> OrbitIndexData:
+                             m_max: int, q_max: int,
+                             angle_tol: float) -> OrbitIndexData:
     """Full index table for one orbit from the crossing scanner ``comp`` of
     its path: records, mean index, minimal period.
 
@@ -533,7 +535,7 @@ def compute_orbit_index_data(orbit_id: str, comp: IndexComputer, *,
                            _first_arc_value(eigvals, i_1, nu_1, n))
     on_point = {}
     for a in angles:
-        turn = rational_turn(a, angle_tol, q_max)
+        turn = rational_turn(a, angle_tol=angle_tol, q_max=q_max)
         if turn == 0:
             on_point[a] = (i_1 + n, nu_1)
         elif turn is not None:
@@ -545,8 +547,7 @@ def compute_orbit_index_data(orbit_id: str, comp: IndexComputer, *,
 
 
 def index_data_from_iteration(orbit_id: str, it: IterationData, *,
-                              m_max: int = 20,
-                              q_max: int = 64) -> OrbitIndexData:
+                              m_max: int, q_max: int) -> OrbitIndexData:
     """Records for m = 1..max(m_max, 2n + 2), mean index and minimal period
     of an orbit from its iteration data alone: no path, no scan."""
     n = it.dim_n
@@ -568,10 +569,9 @@ def _records(orbit_id: str, it: IterationData, m_from: int, m_upto: int):
 
 def extend_records(data: OrbitIndexData, m_upto: int):
     """Extend the per-iterate table in place up to iterate ``m_upto``."""
-    if data.iteration is None and m_upto > len(data.records):
-        raise InvalidArgument("orbit index data lacks its iteration data")
-    data.records += _records(data.orbit_id, data.iteration,
-                             len(data.records) + 1, m_upto)
+    if m_upto > len(data.records):
+        data.records += _records(data.orbit_id, data.iteration,
+                                 len(data.records) + 1, m_upto)
 
 
 def dimension_shift(K: float, period_T: float, n: int) -> int:

@@ -15,10 +15,18 @@ import numpy as np
 
 from .errors import (ConsistencyFailure, InvalidArgument, InvariantViolation,
                      NumericFailure, SearchFailure)
-from .flow import Trajectory, integrate_flow
-from .geometry import Hypersurface
+from .flow import LOOP_SAMPLES, Trajectory, integrate_flow
+from .geometry import Hypersurface, make_ellipsoid
 from .ode import dop853, minimize_bounded
 from .sympl import standard_J
+
+_PHASE_GRID = 128           # coarse time shifts of trajectory_distance
+_NEWTON_ITER = 40           # Gauss-Newton steps of shoot_for_orbit
+_PRIME_CHECK_MAX = 12       # largest iterate a shot loop is tested for
+_SURFACE_TOL = 1e-8         # gate_orbit's bar on max |j - 1| over a loop
+_SEPARATION = 1e-4          # loops this close are one orbit
+_CATALOG_Q_MAX = 32         # the catalog warns on squared-radius ratios
+_CATALOG_RATIONAL_TOL = 1e-9    # within this of a p/q, q <= _CATALOG_Q_MAX
 
 
 @dataclass
@@ -32,11 +40,8 @@ class ClosedCharacteristic:
     rho: float | None = None              # gauge level of the loop-problem representative
     critical_value: float | None = None
 
-    def samples(self):
-        return self.trajectory.ts, self.trajectory.xs
-
     def to_record(self) -> dict:
-        ts, xs = self.samples()
+        ts, xs = self.trajectory.ts, self.trajectory.xs
         return {
             "id": self.orbit_id,
             "prime_period": self.prime_period,
@@ -53,16 +58,15 @@ def surface_residual(surface: Hypersurface, orbit: ClosedCharacteristic) -> floa
 
 
 def trajectory_distance(orbit_a: ClosedCharacteristic,
-                        orbit_b: ClosedCharacteristic,
-                        n_phase: int = 128) -> float:
+                        orbit_b: ClosedCharacteristic) -> float:
     """Sup distance between the two loops after optimal time-shift alignment.
 
-    Coarse scan over ``n_phase`` shifts followed by a bounded refinement of
+    Coarse scan over ``_PHASE_GRID`` shifts followed by a bounded refinement of
     the best bracket, so coincident loops at a generic relative phase still
     align to interpolation accuracy.
     """
-    ta, xa = orbit_a.samples()
-    tb, xb = orbit_b.samples()
+    ta, xa = orbit_a.trajectory.ts, orbit_a.trajectory.xs
+    tb, xb = orbit_b.trajectory.ts, orbit_b.trajectory.xs
     m = min(len(ta), len(tb), 256)
     phases = np.linspace(0.0, 1.0, m, endpoint=False)
 
@@ -80,17 +84,15 @@ def trajectory_distance(orbit_a: ClosedCharacteristic,
         return float(np.max(np.linalg.norm(ya - resample(tb, xb, shift),
                                            axis=1)))
 
-    grid = np.linspace(0.0, 1.0, n_phase, endpoint=False)
+    grid = np.linspace(0.0, 1.0, _PHASE_GRID, endpoint=False)
     vals = [dist(s) for s in grid]
     i = int(np.argmin(vals))
-    h = 1.0 / n_phase
+    h = 1.0 / _PHASE_GRID
     _, best = minimize_bounded(dist, grid[i] - h, grid[i] + h, xatol=1e-12)
     return min(vals[i], float(best))
 
 
-def ellipsoid_catalog(surface: Hypersurface, *, n_samples: int = 257,
-                      rational_q_max: int = 32,
-                      rational_tol: float = 1e-9) -> list:
+def ellipsoid_catalog(surface: Hypersurface) -> list:
     """The n planar circle orbits of an ellipsoid, sampled analytically.
 
     Canonical prime periods are 2 pi r_k^2.  Rationally dependent squared
@@ -105,8 +107,8 @@ def ellipsoid_catalog(surface: Hypersurface, *, n_samples: int = 257,
     for i in range(n):
         for j in range(i + 1, n):
             ratio = sq[i] / sq[j]
-            frac = Fraction(ratio).limit_denominator(rational_q_max)
-            if abs(float(frac) - ratio) < rational_tol:
+            frac = Fraction(ratio).limit_denominator(_CATALOG_Q_MAX)
+            if abs(float(frac) - ratio) < _CATALOG_RATIONAL_TOL:
                 warnings.warn(
                     f"squared radii {i+1},{j+1} are rationally dependent "
                     f"({frac}); extra orbit families exist, catalog incomplete",
@@ -115,12 +117,12 @@ def ellipsoid_catalog(surface: Hypersurface, *, n_samples: int = 257,
     order = np.argsort(sq)
     for rank, k in enumerate(order):
         tau = 2.0 * np.pi * sq[k]
-        ts = np.linspace(0.0, tau, n_samples)
+        ts = np.linspace(0.0, tau, LOOP_SAMPLES)
         ang = ts / sq[k]
-        xs = np.zeros((n_samples, 2 * n))
+        xs = np.zeros((LOOP_SAMPLES, 2 * n))
         xs[:, k] = radii[k] * np.cos(ang)
         xs[:, n + k] = radii[k] * np.sin(ang)
-        traj = Trajectory(ts=ts, xs=xs, closure_residual=0.0, energy_drift=0.0)
+        traj = Trajectory(ts=ts, xs=xs, closure_residual=0.0)
         orbits.append(ClosedCharacteristic(
             orbit_id=f"y{rank+1}", prime_period=float(tau), trajectory=traj,
             provenance="analytic"))
@@ -147,10 +149,10 @@ def _closure_map(surface: Hypersurface, x0, tau, tol):
 
 
 def shoot_for_orbit(surface: Hypersurface, seed_point, period_guess: float,
-                    tol: float = 1e-10, max_iter: int = 40,
-                    orbit_id: str = "orbit", int_tol: float = 1e-12,
-                    prime_check_max: int = 12) -> ClosedCharacteristic:
-    """Newton (Gauss-Newton) on the closure map of the canonical flow.
+                    *, tol: float, int_tol: float,
+                    orbit_id: str) -> ClosedCharacteristic:
+    """Newton (Gauss-Newton) on the closure map of the canonical flow, to
+    closure and gauge residuals within ``tol`` with the flow at ``int_tol``.
 
     Unknowns (x0, tau); equations: flow closure, gauge level 1, and a phase
     constraint pinning the time shift against the seed.  Convergence to an
@@ -177,7 +179,7 @@ def shoot_for_orbit(surface: Hypersurface, seed_point, period_guess: float,
 
     F, Jac = residual(x0, tau)
     norm0 = np.linalg.norm(F)
-    for it in range(max_iter):
+    for it in range(_NEWTON_ITER):
         if np.linalg.norm(F[:d]) <= tol and abs(F[d]) <= tol:
             break
         step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
@@ -204,7 +206,7 @@ def shoot_for_orbit(surface: Hypersurface, seed_point, period_guess: float,
     # one dense solve over tau; prime-vs-iterate: does it close at tau/m?
     traj = integrate_flow(surface, x0, tau, tol=int_tol)
     prime_tau = tau
-    for m in range(prime_check_max, 1, -1):
+    for m in range(_PRIME_CHECK_MAX, 1, -1):
         if np.linalg.norm(traj.sol(tau / m) - x0) < 100.0 * tol:
             prime_tau = tau / m
             traj = integrate_flow(surface, x0, prime_tau, tol=int_tol)
@@ -216,8 +218,7 @@ def shoot_for_orbit(surface: Hypersurface, seed_point, period_guess: float,
 
 
 def gate_orbit(surface: Hypersurface, orbit: ClosedCharacteristic, *,
-               closure_tol: float = 1e-8, surface_tol: float = 1e-8,
-               int_tol: float = 1e-12) -> dict:
+               closure_tol: float, int_tol: float) -> dict:
     """Acceptance gate every orbit passes regardless of provenance: a fresh
     integration over one prime period at the run's ``int_tol`` (DOP853's
     rtol floor ``max(1e-2 * tol, 3e-14)`` leaves no room to tighten it) must
@@ -229,47 +230,38 @@ def gate_orbit(surface: Hypersurface, orbit: ClosedCharacteristic, *,
         raise InvariantViolation(
             f"orbit {orbit.orbit_id}: closure residual "
             f"{re.closure_residual:.3g} above {closure_tol}")
-    if sres > surface_tol:
+    if sres > _SURFACE_TOL:
         raise InvariantViolation(
             f"orbit {orbit.orbit_id}: off-surface by {sres:.3g}")
     return {"closure": re.closure_residual, "surface": sres}
 
 
-def dedupe_orbits(orbits: list, separation: float = 1e-4) -> list:
+def dedupe_orbits(orbits: list) -> list:
     """Fold geometrically coincident orbits (single-writer merge step)."""
     kept = []
     for orb in orbits:
-        if any(trajectory_distance(orb, other) < separation for other in kept):
+        if any(trajectory_distance(orb, other) < _SEPARATION for other in kept):
             continue
         kept.append(orb)
     return kept
 
 
-def find_orbits(surface: Hypersurface, *, seeds=None, tol: float = 1e-10,
-                int_tol: float = 1e-12) -> list:
-    """Orbit discovery dispatch: analytic catalog for ellipsoids, shooting
-    continuation from the base catalog for perturbed ellipsoids, shooting
-    from user seeds otherwise."""
+def find_orbits(surface: Hypersurface, *, tol: float, int_tol: float) -> list:
+    """Orbit discovery: the analytic catalog of an ellipsoid; on a perturbed
+    ellipsoid, shooting (``shoot_for_orbit``) from each orbit of its base
+    ellipsoid's catalog."""
     if surface.kind == "ellipsoid":
         return ellipsoid_catalog(surface)
-    if surface.kind == "perturbed_ellipsoid":
-        from .geometry import make_ellipsoid
-        base = make_ellipsoid(surface.meta["radii"])
-        seeds = [{"point": orb.trajectory.x0, "period": orb.prime_period}
-                 for orb in ellipsoid_catalog(base)]
-    elif not seeds:
-        raise InvalidArgument("custom surfaces need explicit orbit seeds")
+    base = make_ellipsoid(surface.meta["radii"])
     return dedupe_orbits([
-        shoot_for_orbit(surface, np.asarray(s["point"], dtype=float),
-                        float(s["period"]), tol=tol, orbit_id=f"y{k+1}",
-                        int_tol=int_tol)
-        for k, s in enumerate(seeds)])
+        shoot_for_orbit(surface, orb.trajectory.x0, orb.prime_period, tol=tol,
+                        int_tol=int_tol, orbit_id=f"y{k+1}")
+        for k, orb in enumerate(ellipsoid_catalog(base))])
 
 
-def write_registry(orbits: list, fname, extra: dict | None = None):
-    payload = {"orbits": [o.to_record() for o in orbits]}
-    if extra:
-        payload.update(extra)
+def write_registry(orbits: list, fname, extra: dict):
+    """The orbits' records and the ``extra`` top-level blocks, as JSON."""
+    payload = {"orbits": [o.to_record() for o in orbits], **extra}
     with open(fname, "w") as f:
         json.dump(payload, f, indent=1, sort_keys=True)
 
@@ -291,7 +283,7 @@ def load_registry(fname, surface: Hypersurface) -> list:
                                  f"(n, {surface.dim + 1})")
             closure = float(np.linalg.norm(arr[-1, 1:] - arr[0, 1:]))
             traj = Trajectory(ts=arr[:, 0], xs=arr[:, 1:],
-                              closure_residual=closure, energy_drift=0.0)
+                              closure_residual=closure)
             out.append(ClosedCharacteristic(
                 orbit_id=rec["id"], prime_period=period,
                 trajectory=traj, provenance=rec["provenance"],

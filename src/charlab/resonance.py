@@ -15,9 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IncompleteInput, InvalidArgument, TableRuleViolation
+from .errors import InvalidArgument, TableRuleViolation
 from .index import OrbitIndexData, extend_records
 
+_ZERO_TOL = 1e-10       # a float mean index this near 0 is 0
+_LADDER_MARGIN = 1.3    # period cap over the iterates a rung needs
 
 # ---------------------------------------------------------------------------
 # critical type numbers
@@ -80,21 +82,20 @@ class CriticalTypeTable:
         return self.vectors[mm]
 
 
-def critical_type_numbers(index_data: OrbitIndexData, user_table=None,
-                          strict: bool = False) -> CriticalTypeTable:
+def critical_type_numbers(index_data: OrbitIndexData,
+                          user_table) -> CriticalTypeTable:
     """Assemble the type-number table for iterates 1..K(y).
 
     Nondegenerate iterates (nullity 1) get slot 0 set exactly when
     i(y^m) - i(y) is even.  Degenerate iterates require entries in
-    ``user_table`` ({m: vector}); missing entries mark the orbit incomplete
-    (excluded from the identity) unless ``strict`` is set, which raises.
+    ``user_table`` ({m: vector}, or None for none); missing entries mark
+    the orbit incomplete (excluded from the identity).
     Supplied vectors are validated against every structural rule, including
     periodicity consistency between entries K(y) apart.
     """
     n = index_data.dim_n
     K = index_data.K_of_y
-    if len(index_data.records) < K:
-        extend_records(index_data, K)
+    extend_records(index_data, K)
     width = 2 * n - 1
     user_table = {int(k): v for k, v in (user_table or {}).items()}
     # periodicity validation across user-supplied duplicates
@@ -120,10 +121,6 @@ def critical_type_numbers(index_data: OrbitIndexData, user_table=None,
             degenerate.append(m)
             if m in user_table:
                 vectors[m] = validate_type_vector(user_table[m], nu, n)
-            elif strict:
-                raise IncompleteInput(
-                    f"orbit {index_data.orbit_id}: degenerate iterate {m} "
-                    f"(nullity {nu}) has no user type-number entry")
             else:
                 vectors[m] = [0] * width
                 complete = False
@@ -160,8 +157,7 @@ def chi_partial_averages(table: CriticalTypeTable, index_data: OrbitIndexData,
                          N_max: int):
     """Exact running averages (1/N) sum_{m<=N} chi(y^m) for N = 1..N_max,
     computed from directly supplied indices (no periodic shortcut for i)."""
-    if len(index_data.records) < N_max:
-        extend_records(index_data, N_max)
+    extend_records(index_data, N_max)
     out = []
     total = 0
     for m in range(1, N_max + 1):
@@ -231,10 +227,10 @@ class ResonanceReport:
         }
 
 
-def identity_check(contributions, zero_tol: float = 1e-10) -> ResonanceReport:
+def identity_check(contributions) -> ResonanceReport:
     """Evaluate the two identity sums over the prime orbits.
 
-    Orbits with mean index 0 (within ``zero_tol`` for floats, exactly for
+    Orbits with mean index 0 (within ``_ZERO_TOL`` for floats, exactly for
     Fractions) are excluded from both sums and reported separately; orbits
     without complete type data make the result conditional.
     """
@@ -252,7 +248,7 @@ def identity_check(contributions, zero_tol: float = 1e-10) -> ResonanceReport:
         ihat = c.mean_index
         is_frac = isinstance(ihat, Fraction)
         val = float(ihat)
-        if (is_frac and ihat == 0) or (not is_frac and abs(val) <= zero_tol):
+        if (is_frac and ihat == 0) or (not is_frac and abs(val) <= _ZERO_TOL):
             zero_mean.append(c.orbit_id)
             continue
         term_exact = is_frac
@@ -292,9 +288,7 @@ class MorseSeries:
     eval_plus: int                 # alternating evaluation over [2C, 2N]
     eval_minus: int                # alternating evaluation over [-2N, -2C]
     count_bound_ok: bool
-    count_bound: dict              # orbit_id -> (max count, bound)
     C1: float                      # max coefficient seen
-    a_used: float
 
     def ratio_plus(self) -> float:
         return self.eval_plus / (2.0 * self.N)
@@ -303,35 +297,31 @@ class MorseSeries:
         return self.eval_minus / (2.0 * self.N)
 
 
-def morse_series(orbit_data, tables, taus, a: float, *, C: int | None = None,
-                 N: int = 100, period_T: float = 1.0) -> MorseSeries:
-    """Assemble w_h for 2C <= |h| <= 2N from the per-iterate indices and
-    type numbers, counting iterates sK(y)+m below the period cap a*T/tau.
+def morse_series(orbit_data, tables, taus, a: float, *, N: int) -> MorseSeries:
+    """Assemble w_h for 2C <= |h| <= 2N, C = 2n^2, from the per-iterate
+    indices and type numbers, counting iterates sK(y)+m below the period
+    cap a/tau.
 
     Each coefficient receives, from orbit j with slot l and base iterate m,
     the number of s >= 0 with i(y^(sK+m)) + l = h; that count is bounded by
     4n/(K(y)|ihat|) + 2, which is checked and reported.
     """
     if not orbit_data:
-        return MorseSeries(C=C or 0, N=N, w={}, eval_plus=0, eval_minus=0,
-                           count_bound_ok=True, count_bound={}, C1=0.0,
-                           a_used=a)
+        return MorseSeries(C=0, N=N, w={}, eval_plus=0, eval_minus=0,
+                           count_bound_ok=True, C1=0.0)
     n = orbit_data[0].dim_n
-    if C is None:
-        C = 2 * n * n
+    C = 2 * n * n
     if 2 * N <= 2 * C:
         raise InvalidArgument("need N > C")
     w = {}
-    counts = {}
     bound_ok = True
     for data, table, tau in zip(orbit_data, tables, taus):
         K = data.K_of_y
         ihat = float(data.mean_index_exact)
-        cap = a * period_T / tau
+        cap = a / tau
         # iterates needed: until the index leaves the window |h| <= 2N + slack
         q_need = int(min(cap, (2 * N + 4 * n + 2) / max(abs(ihat), 1e-9) + K + 2))
-        if len(data.records) < q_need:
-            extend_records(data, q_need)
+        extend_records(data, q_need)
         bound = 4.0 * n / (K * abs(ihat)) + 2.0 if ihat != 0 else np.inf
         worst = 0
         for m in range(1, K + 1):
@@ -352,7 +342,6 @@ def morse_series(orbit_data, tables, taus, a: float, *, C: int | None = None,
                     s += 1
                 if cnt:
                     worst = max(worst, max(cnt.values()))
-        counts[data.orbit_id] = (worst, bound)
         if worst > bound:
             bound_ok = False
     eval_plus = sum(v * (-1)**(h % 2) for h, v in w.items() if h >= 2 * C)
@@ -360,12 +349,10 @@ def morse_series(orbit_data, tables, taus, a: float, *, C: int | None = None,
     C1 = float(max(w.values())) if w else 0.0
     return MorseSeries(C=C, N=N, w=w, eval_plus=int(eval_plus),
                        eval_minus=int(eval_minus), count_bound_ok=bound_ok,
-                       count_bound=counts, C1=C1, a_used=a)
+                       C1=C1)
 
 
-def series_ladder(orbit_data, tables, taus, *, N_list=(50, 100, 200),
-                  period_T: float = 1.0, margin: float = 1.3,
-                  s_plus: float = 0.5):
+def series_ladder(orbit_data, tables, taus, *, N_list, s_plus: float):
     """Evaluate the series over increasing windows and report the deviation
     |eval_plus - 2N * S_plus| at each rung (bounded uniformly in N)."""
     rungs = []
@@ -374,8 +361,8 @@ def series_ladder(orbit_data, tables, taus, *, N_list=(50, 100, 200),
         for d, tau in zip(orbit_data, taus):
             q_need = ((2 * N + 8) / max(abs(float(d.mean_index_exact)), 1e-9)
                       + d.K_of_y + 2)
-            a = max(a, margin * q_need * tau / period_T)
-        ms = morse_series(orbit_data, tables, taus, a, N=N, period_T=period_T)
+            a = max(a, _LADDER_MARGIN * q_need * tau)
+        ms = morse_series(orbit_data, tables, taus, a, N=N)
         dev = abs(ms.eval_plus - 2 * N * s_plus)
         rungs.append({"N": N, "series": ms, "deviation": dev,
                       "ratio_plus": ms.ratio_plus(),

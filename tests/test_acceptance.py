@@ -23,9 +23,9 @@ import numpy as np
 
 from charlab.errors import TableRuleViolation
 from charlab.flow import integrate_linearized, path_max_defect
-from charlab.galerkin import (ReductionOptions, critical_value_formula,
-                              k_shift_audit, orbit_from_critical,
-                              reduced_critical_point, suggest_K_grid)
+from charlab.galerkin import (critical_value_formula, k_shift_audit,
+                              orbit_from_critical, reduced_critical_point,
+                              suggest_K_grid)
 from charlab.geometry import make_ellipsoid
 from charlab.index import (IndexComputer, compute_orbit_index_data,
                            extend_records)
@@ -36,7 +36,7 @@ from charlab.resonance import (OrbitContribution, chi_partial_averages,
                                identity_check, series_ladder,
                                validate_type_vector)
 
-from conftest import RADII_2D, RADII_3D
+from conftest import RADII_2D, RADII_3D, REDUCTION, TURNS
 
 
 def report(criterion, ok, detail):
@@ -59,8 +59,8 @@ def full_identity(radii_or_surface, m_max=14):
     for orb in orbits:
         d = compute_orbit_index_data(orb.orbit_id,
                                      IndexComputer(paths[orb.orbit_id]),
-                                     m_max=m_max)
-        table = critical_type_numbers(d)
+                                     m_max=m_max, **TURNS)
+        table = critical_type_numbers(d, None)
         chis, chi_hat = euler_characteristics(table, d)
         contribs.append(OrbitContribution(
             orb.orbit_id, d.mean_index_exact, d.mean_index_bar, chi_hat,
@@ -100,7 +100,7 @@ def test_criterion_3_vacuous_negative_sum(circle_bundle, ell2_bundle,
     for bundle in (circle_bundle, ell2_bundle, ell3_bundle):
         contribs = []
         for oid, d in bundle.index_data.items():
-            table = critical_type_numbers(d)
+            table = critical_type_numbers(d, None)
             chis, chi_hat = euler_characteristics(table, d)
             contribs.append(OrbitContribution(oid, d.mean_index_exact,
                                               d.mean_index_bar, chi_hat,
@@ -148,7 +148,7 @@ def test_criterion_6_K_independence(circle_bundle):
     surf = circle_bundle.surface
     orb = circle_bundle.orbits[0]
     d = circle_bundle.index_data["y1"]
-    spec = ReductionOptions().spec(surf, orb.prime_period, seed=0)
+    spec = REDUCTION.spec(surf, orb.prime_period, seed=0)
     chk = k_shift_audit(spec, orb, suggest_K_grid(spec), seed=0,
                         path_index=d.index(1), path_nullity=d.nullity(1))
     nullity_const = len(set(chk.nullities)) == 1
@@ -172,7 +172,7 @@ def test_criterion_7_periodicity(circle_bundle, ell2_bundle, ell3_bundle):
             for p in range(1, 3 * K + 1):
                 ok &= d.nullity(p + K) == d.nullity(p)
                 ok &= (d.index(p + K) - d.index(p)) % 2 == 0
-            table = critical_type_numbers(d)
+            table = critical_type_numbers(d, None)
             _, chi_hat = euler_characteristics(table, d)
             avgs = chi_partial_averages(table, d, 10 * K)
             hits = all(avgs[j * K - 1] == chi_hat for j in range(1, 11))
@@ -194,13 +194,13 @@ def test_criterion_8_reduction_vs_shooting():
             seed_pt = ref.trajectory.x0 + 0.01 * rng.normal(
                 size=surface.dim)
             orb = shoot_for_orbit(surface, seed_pt,
-                                  ref.prime_period * 1.01,
-                                  orbit_id=f"s{k+1}")
+                                  ref.prime_period * 1.01, tol=1e-10,
+                                  int_tol=1e-12, orbit_id=f"s{k+1}")
             shot.append(orb)
         matched = 0
         for orb in shot:
             spec, sys, vec = reduced_critical_point(
-                surface, orb, ReductionOptions(), seed=0)
+                surface, orb, REDUCTION, seed=0)
             gorb, info = orbit_from_critical(sys, vec, orb.orbit_id + "g")
             dist = trajectory_distance(orb, gorb)
             val_err = abs(sys.value(vec)
@@ -218,7 +218,7 @@ def test_criterion_9_series_diagnostics(ell2_bundle):
     s_plus = 0.0
     for orb in ell2_bundle.orbits:
         d = ell2_bundle.index_data[orb.orbit_id]
-        table = critical_type_numbers(d)
+        table = critical_type_numbers(d, None)
         _, chi_hat = euler_characteristics(table, d)
         s_plus += float(chi_hat) / d.mean_index
         datas.append(d)

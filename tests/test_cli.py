@@ -194,6 +194,25 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, extra,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("surface, N_list, C", [
+    ({"kind": "ellipsoid", "radii": [1.0]}, [2], 2),
+    ({"kind": "ellipsoid", "radii": [1.0, 2.0**0.25]}, [50, 8], 8),
+])
+def test_a_series_window_within_2n2_is_rejected_at_load(tmp_path, capsys,
+                                                       surface, N_list, C):
+    # the ladder counts coefficients over 2C < |h| <= 2N, C = 2n^2: a window
+    # N <= C is named before any stage runs, not after the index stage
+    cfg_path = write_config(tmp_path, surface=surface,
+                            morse={"enable": True, "N_list": N_list})
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "'morse.N_list'" in err and f"2n^2 = {C}" in err, err
+    assert not (tmp_path / "out").exists()
+    cfg_path = write_config(tmp_path, surface=surface,
+                            morse={"enable": False, "N_list": N_list})
+    assert main(["run", str(cfg_path), "--stages", "geometry"]) == 0
+
+
 # scalars of every JSON kind, with the words and numbers a config uses, and
 # shallow lists and objects of them
 SCALARS = (st.none() | st.booleans() | st.integers(-2, 300) | st.integers()
@@ -238,11 +257,51 @@ def test_readme_configuration_table_lists_every_schema_key():
     assert sorted(rows) == sorted(_SCHEMA)
 
 
-def test_schema_galerkin_defaults_are_the_reduction_defaults():
-    # a config without a galerkin block reduces like ReductionOptions()
+def test_schema_galerkin_defaults_are_the_reduction_defaults(tmp_path):
+    # a config without a galerkin band reduces with the schema's values,
+    # the only defaults the band has
+    from charlab.cli import RunConfig
+
     defaults = {path.split(".")[1]: entry[0] for path, entry in _SCHEMA.items()
                 if path.startswith("galerkin.") and path != "galerkin.enable"}
-    assert ReductionOptions(**defaults) == ReductionOptions()
+    cfg = RunConfig.load(write_config(tmp_path))
+    assert cfg.galerkin == ReductionOptions(**defaults)
+    with pytest.raises(TypeError):
+        ReductionOptions()
+
+
+# config-backed parameters of the library functions the stages call; each
+# takes its value from the config, so none may carry a default of its own
+CONFIG_BACKED = {
+    "flow.integrate_flow": ("tol",),
+    "flow.integrate_linearized": ("tol",),
+    "orbits.find_orbits": ("tol", "int_tol"),
+    "orbits.shoot_for_orbit": ("tol", "int_tol"),
+    "orbits.gate_orbit": ("closure_tol", "int_tol"),
+    "index.compute_orbit_index_data": ("m_max", "q_max", "angle_tol"),
+    "index.index_data_from_iteration": ("m_max", "q_max"),
+    "index.mean_index": ("q_max",),
+    "index.rational_turn": ("angle_tol", "q_max"),
+    "index.minimal_period_K": ("angle_tol", "q_max"),
+    "geometry.spec_for_period": ("period_T", "ratio", "theta", "alpha", "K",
+                                 "rng_seed"),
+    "resonance.series_ladder": ("N_list", "s_plus"),
+    "galerkin.k_shift_audit": ("path_index", "path_nullity"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_BACKED))
+def test_config_backed_settings_default_only_in_the_schema(name):
+    import inspect
+
+    module, function = name.split(".")
+    params = inspect.signature(
+        getattr(importlib.import_module(f"charlab.{module}"), function)
+    ).parameters
+    for param in CONFIG_BACKED[name]:
+        assert params[param].default is inspect.Parameter.empty, (name, param)
+        assert params[param].kind is inspect.Parameter.KEYWORD_ONLY, \
+            (name, param)
 
 
 def test_galerkin_options_reach_every_reduction(tmp_path, monkeypatch):
@@ -339,6 +398,32 @@ def test_numeric_failure_prints_its_diagnostics(tmp_path, capsys,
     assert main(["run", str(write_config(tmp_path))]) == 1
     err = capsys.readouterr().err
     assert "ambiguous near-crossing" in err and "window=(1.0, 2.0)" in err
+
+
+def test_a_nullity_that_is_not_K_periodic_is_named(tmp_path, capsys,
+                                                   monkeypatch):
+    # a hand-built table with K(y) = 2 whose third iterate is degenerate
+    # where the first is not
+    from charlab import cli
+    from charlab.index import IndexRecord, OrbitIndexData
+
+    def not_periodic(orbit_id, comp, **settings):
+        records = [IndexRecord(orbit_id, m, 2 * m - 2, 3 if m == 3 else 1)
+                   for m in range(1, 9)]
+        return OrbitIndexData(orbit_id=orbit_id, dim_n=1, records=records,
+                              mean_index=2.0, mean_index_fraction=None,
+                              mean_index_bar=0.0, slope_estimate=2.0,
+                              K_of_y=2, iteration=None)
+
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path), "--stages", "geometry,orbits"]) == 0
+    monkeypatch.setattr(cli, "compute_orbit_index_data", not_periodic)
+    capsys.readouterr()
+    assert main(["run", str(cfg_path), "--stages", "index"]) == 1
+    err = capsys.readouterr().err
+    assert ("charlab: InvariantViolation: orbit y1: nullity not K-periodic "
+            "at p=1") in err, err
+    assert not (tmp_path / "out" / "index_report.json").exists()
 
 
 def test_cli_overrides(tmp_path):
@@ -520,7 +605,8 @@ def test_audit_fails_a_consistent_but_wrong_iteration_block(tmp_path, capsys):
     it = block["iteration"]
     it["arc_table"] = [[lo, hi, i - 1] for lo, hi, i in it["arc_table"]]
     d = index_data_from_iteration("y1", IterationData.from_json(it, 2),
-                                  m_max=len(block["records"]))
+                                  m_max=len(block["records"]),
+                                  q_max=_SCHEMA["tolerances.q_max"][0])
     block["records"] = [[r.iterate_m, r.index_i, r.nullity_nu]
                         for r in d.records]
     block.update(cli._index_summary(d))
@@ -895,6 +981,34 @@ def test_resume_rejects_a_report_it_cannot_trust(tmp_path, capsys, tamper,
     assert main(["run", str(cfg_path), "--stages", "resonance"]) == 1
     err = capsys.readouterr().err
     assert "orbit y1" in err and field in err, err
+
+
+def _orbits_as_a_list(report):
+    report["orbits"] = list(report["orbits"].values())
+
+
+def _orbit_as_a_list(report):
+    report["orbits"]["y1"] = list(report["orbits"]["y1"].values())
+
+
+@pytest.mark.parametrize("tamper, named", [
+    (_orbits_as_a_list, "index_report.json: 'orbits' is not an object"),
+    (_orbit_as_a_list, "index_report.json, orbit y1: not an object"),
+])
+@pytest.mark.parametrize("argv", [["run", "--stages", "resonance"], ["audit"]])
+def test_a_report_of_the_wrong_shape_is_named(tmp_path, capsys, argv, tamper,
+                                              named):
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    report = tmp_path / "out" / "index_report.json"
+    data = json.loads(report.read_text())
+    tamper(data)
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([argv[0], str(cfg_path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert f"ConsistencyFailure: {named}" in err, err
+    assert "Traceback" not in err, err
 
 
 def _truncated_registry(text):

@@ -1,10 +1,13 @@
 """Fourier reduction: thresholds, convexity, critical points, Morse data."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from charlab.errors import InvalidArgument, NumericFailure
-from charlab.galerkin import (MAX_MODE_CUT, ReductionOptions, build_galerkin,
+from charlab.galerkin import (MAX_MODE_CUT, build_galerkin,
                               critical_loop, critical_value_formula,
                               estimate_dual_modulus, k_shift_audit,
                               orbit_from_critical, reduced_critical_point,
@@ -12,13 +15,15 @@ from charlab.galerkin import (MAX_MODE_CUT, ReductionOptions, build_galerkin,
 from charlab.geometry import make_ellipsoid
 from charlab.orbits import ellipsoid_catalog, trajectory_distance
 
+from conftest import REDUCTION
 
-def galerkin_critical_points(sys, seeds, *, tol=1e-10, zero_tol=1e-8):
+
+def galerkin_critical_points(sys, seeds, *, zero_tol=1e-8):
     """Newton search from the given seed vectors; constant (zero) solutions
     are filtered out, duplicates folded."""
     out = []
     for k, s in enumerate(seeds):
-        vec = sys.newton_critical(np.asarray(s, dtype=float), tol=tol)
+        vec = sys.newton_critical(np.asarray(s, dtype=float))
         if float(np.linalg.norm(vec)) < zero_tol:
             continue
         orb, info = orbit_from_critical(sys, vec, orbit_id=f"g{k+1}")
@@ -105,7 +110,7 @@ class QuadraticHamiltonian:
     """H = lam/2 |x|^2 test double with an exact Fenchel transform."""
 
     def __init__(self, dim_n, lam, K, period_T):
-        self.dim_n = dim_n
+        self.surface = SimpleNamespace(dim_n=dim_n)
         self.lam = lam
         self.K = K
         self.period_T = period_T
@@ -168,8 +173,7 @@ class TestQuadraticDouble:
 def circle_system():
     surf = make_ellipsoid([1.0])
     orb = ellipsoid_catalog(surf)[0]
-    spec, sys, vec = reduced_critical_point(surf, orb, ReductionOptions(),
-                                            seed=0)
+    spec, sys, vec = reduced_critical_point(surf, orb, REDUCTION, seed=0)
     return surf, orb, spec, sys, vec
 
 
@@ -207,7 +211,7 @@ class TestCircleReduction:
         vals = []
         for K in (spec.K, spec.K + 0.4 * 2 * np.pi / spec.period_T):
             _, s, vec = reduced_critical_point(
-                surf, orb, ReductionOptions(K=float(K)), seed=0)
+                surf, orb, replace(REDUCTION, K=float(K)), seed=0)
             vals.append(s.value(vec))
         assert abs(vals[0] - vals[1]) <= 1e-8
 
@@ -261,8 +265,8 @@ class TestCircleReduction:
 def test_k_shift_audit_circle_m2():
     surf = make_ellipsoid([1.0])
     orb = ellipsoid_catalog(surf)[0]
-    spec = ReductionOptions().spec(surf, 2 * orb.prime_period, seed=0)
-    grid = suggest_K_grid(spec, n_points=3)
+    spec = REDUCTION.spec(surf, 2 * orb.prime_period, seed=0)
+    grid = suggest_K_grid(spec)[::2]        # its first, middle and last K
     chk = k_shift_audit(spec, orb, grid, seed=0, iterate_m=2,
                         path_index=2, path_nullity=1)
     assert chk.consistent
@@ -273,7 +277,7 @@ def test_dimension_shift_jump_across_grid(ell2_bundle):
     surf = ell2_bundle.surface
     orb = ell2_bundle.orbits[0]
     d = ell2_bundle.index_data["y1"]
-    spec = ReductionOptions().spec(surf, orb.prime_period, seed=0)
+    spec = REDUCTION.spec(surf, orb.prime_period, seed=0)
     chk = k_shift_audit(spec, orb, suggest_K_grid(spec), seed=0,
                         path_index=d.index(1), path_nullity=d.nullity(1))
     assert chk.consistent
@@ -288,7 +292,7 @@ def test_toeplitz_hessian_matches_the_column_assembly(radii, n_orbits):
     # every K of the audit grids: the circle, both ell2 orbits, ell3's first
     surf = make_ellipsoid(radii)
     for orb in ellipsoid_catalog(surf)[:n_orbits]:
-        spec = ReductionOptions().spec(surf, orb.prime_period, seed=0)
+        spec = REDUCTION.spec(surf, orb.prime_period, seed=0)
         for K in suggest_K_grid(spec):
             sys, vec = critical_loop(spec.with_K(K), orb, seed=0)
             H, ref = sys.hessian(vec), hessian_by_columns(sys, vec)
@@ -303,6 +307,6 @@ def test_stacked_modulus_equals_two_calls(radii):
     surf = make_ellipsoid(radii)
     orb = ellipsoid_catalog(surf)[0]
     for seed in (0, 3):
-        spec = ReductionOptions().spec(surf, orb.prime_period, seed=seed)
+        spec = REDUCTION.spec(surf, orb.prime_period, seed=seed)
         assert estimate_dual_modulus(spec, np.random.default_rng(seed)) \
             == two_call_modulus(spec, np.random.default_rng(seed))

@@ -14,11 +14,13 @@ from charlab.index import (IndexComputer, IterationData, _first_arc_value,
                            unit_spectrum_angles)
 from charlab.sympl import standard_J
 
+from conftest import TURNS
 
-def maslov_index(path, m, **kw):
+
+def maslov_index(path, m):
     """Index and nullity of the m-fold iterate of the path, by the segment
     scanner."""
-    return IndexComputer(path, **kw).index_pair(m)
+    return IndexComputer(path).index_pair(m)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,7 @@ def test_identity_on_golden_ratio_ellipsoid():
     for orb in orbits:
         d = compute_orbit_index_data(orb.orbit_id,
                                      IndexComputer(paths[orb.orbit_id]),
-                                     m_max=8)
+                                     m_max=8, **TURNS)
         total += 1.0 / d.mean_index      # even parity throughout: chi_hat = 1
     assert abs(total - 0.5) <= 1e-10
 
@@ -283,7 +285,8 @@ def test_homogeneity_exponent_independence(ell2_bundle):
         path, = integrate_linearized(
             surf, {"a": (orb.trajectory.x0, orb.prime_period)}, alpha,
             tol=1e-12).values()
-        data = compute_orbit_index_data("a", IndexComputer(path), m_max=10)
+        data = compute_orbit_index_data("a", IndexComputer(path), m_max=10,
+                                        **TURNS)
         assert all(data.index(m) == ref.index(m) for m in range(1, 11))
         assert all(data.nullity(m) == ref.nullity(m) for m in range(1, 11))
         assert abs(data.mean_index - ref.mean_index) <= 1e-8
@@ -299,7 +302,8 @@ def test_scaling_invariance_of_mean_index(ell2_bundle):
     path, = integrate_linearized(
         surf, {"s": (np.array([lam, 0.0, 0.0, 0.0]), tau)}, 1.5,
         tol=1e-12).values()
-    data = compute_orbit_index_data("s", IndexComputer(path), m_max=10)
+    data = compute_orbit_index_data("s", IndexComputer(path), m_max=10,
+                                    **TURNS)
     ref = ell2_bundle.index_data["y1"]
     assert abs(data.mean_index - ref.mean_index) <= 1e-8
     assert all(data.index(m) == ref.index(m) for m in range(1, 11))
@@ -311,11 +315,11 @@ class TestMinimalPeriod:
 
     def test_third_root_gives_six(self):
         M = block_rotation([2 * np.pi / 3, 2 * np.pi / 3])
-        assert minimal_period_K(unit_angles(M)) == 6
+        assert minimal_period_K(unit_angles(M), **TURNS) == 6
 
     def test_two_rational_pairs_lcm(self):
         M = block_rotation([2 * np.pi / 3, 2 * np.pi / 4])
-        assert minimal_period_K(unit_angles(M)) == 24
+        assert minimal_period_K(unit_angles(M), **TURNS) == 24
 
     def test_ambiguous_angle_raises_with_candidates(self):
         # 0.30 of a turn sits within the tolerance of both 1/3 and 2/7
@@ -388,7 +392,7 @@ def test_iteration_formula_endpoint_term_at_eigenvalue():
     # M = shear (+) -I, and the form on ker(M + I) is negative definite, so
     # the index at the eigenvalue -1 carries a nonzero endpoint term
     path = direct_sum_path([circle_block(), uniform_turn(-np.pi)])
-    d = compute_orbit_index_data("z", IndexComputer(path), m_max=8)
+    d = compute_orbit_index_data("z", IndexComputer(path), m_max=8, **TURNS)
     scanner = IndexComputer(path)
     for m in range(1, 9):
         assert (d.index(m), d.nullity(m)) == scanner.index_pair(m), m
@@ -413,7 +417,7 @@ def arc_table_and_scans(oid, path, omega_scans):
     """The arc table and the number of omega scans it took, after checking
     it against an omega scan at every arc midpoint."""
     table = compute_orbit_index_data(oid, IndexComputer(path),
-                                     m_max=8).iteration.arc_table
+                                     m_max=8, **TURNS).iteration.arc_table
     scans = len(omega_scans)
     ref = IndexComputer(path)
     for lo, hi, i_om in table:
@@ -493,7 +497,7 @@ def test_on_point_values_by_krein_need_no_scan(total, omega_scans):
     # rational eigen-angles 2pi/3, 4pi/3 (kappa > 0) or 2pi/5, 8pi/5
     # (kappa < 0): each value on an eigenvalue is the arc before it less S-
     path = direct_sum_path([circle_block(), uniform_turn(total)])
-    d = compute_orbit_index_data("r", IndexComputer(path), m_max=12)
+    d = compute_orbit_index_data("r", IndexComputer(path), m_max=12, **TURNS)
     assert omega_scans == []
     assert len(d.iteration.on_point) == 3
     scanner = IndexComputer(path)
@@ -513,7 +517,8 @@ def test_tied_roots_scan_minus_one_and_a_degenerate_first_arc(
     for oid in ("y1", "y2"):
         omega_scans.clear()
         compute_orbit_index_data(
-            oid, IndexComputer(tied_root_bundle.paths[oid]), m_max=8)
+            oid, IndexComputer(tied_root_bundle.paths[oid]), m_max=8,
+            **TURNS)
         assert omega_scans == [np.pi], oid
 
 

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charlab.errors import IncompleteInput, TableRuleViolation
+from charlab.errors import TableRuleViolation
 from charlab.index import IndexRecord, OrbitIndexData
 from charlab.resonance import (RULES, OrbitContribution,
                                chi_partial_averages, critical_type_numbers,
                                euler_characteristics, identity_check,
                                morse_series, series_ladder,
                                validate_type_vector)
+
+from conftest import TURNS
 
 
 def fake_index_data(orbit_id, n, indices, nullities, mean_index, K):
@@ -21,7 +23,8 @@ def fake_index_data(orbit_id, n, indices, nullities, mean_index, K):
     return OrbitIndexData(orbit_id=orbit_id, dim_n=n, records=recs,
                           mean_index=float(mean_index),
                           mean_index_fraction=None, mean_index_bar=0.0,
-                          slope_estimate=float(mean_index), K_of_y=K)
+                          slope_estimate=float(mean_index), K_of_y=K,
+                          iteration=None)     # records only
 
 
 class TestRules:
@@ -152,7 +155,7 @@ class TestAutoFill:
     def test_even_parity_orbit(self):
         # all iterate indices even: slot 0 set for every m, chi_hat = +1
         data = fake_index_data("a", 1, [0, 2], [1, 1], 2.0, K=2)
-        table = critical_type_numbers(data)
+        table = critical_type_numbers(data, None)
         chis, chi_hat = euler_characteristics(table, data)
         assert chis == [1, 1]
         assert chi_hat == Fraction(1)
@@ -160,7 +163,7 @@ class TestAutoFill:
     def test_odd_start_even_jump(self):
         # i(y) odd, jumps even: chi = -1 each, chi_hat = -1
         data = fake_index_data("b", 2, [3, 5], [1, 1], 2.0, K=2)
-        table = critical_type_numbers(data)
+        table = critical_type_numbers(data, None)
         chis, chi_hat = euler_characteristics(table, data)
         assert chis == [-1, -1]
         assert chi_hat == Fraction(-1)
@@ -168,18 +171,16 @@ class TestAutoFill:
     def test_odd_jump_gives_half(self):
         # i(y^2) - i(y) odd: second iterate contributes nothing
         data = fake_index_data("c", 2, [3, 4], [1, 1], 1.0, K=2)
-        table = critical_type_numbers(data)
+        table = critical_type_numbers(data, None)
         chis, chi_hat = euler_characteristics(table, data)
         assert chis == [-1, 0]
         assert chi_hat == Fraction(-1, 2)
 
     def test_degenerate_without_user_entry_marks_incomplete(self):
         data = fake_index_data("d", 2, [0, 2], [1, 3], 2.0, K=2)
-        table = critical_type_numbers(data)
+        table = critical_type_numbers(data, None)
         assert not table.complete
         assert table.degenerate_ms == [2]
-        with pytest.raises(IncompleteInput):
-            critical_type_numbers(data, strict=True)
 
     def test_degenerate_with_valid_entry(self):
         data = fake_index_data("e", 2, [0, 2], [1, 3], 2.0, K=2)
@@ -191,7 +192,7 @@ class TestAutoFill:
 
     def test_zero_table_zero_contribution(self):
         data = fake_index_data("f", 2, [0, 2], [1, 3], 2.0, K=2)
-        table = critical_type_numbers(data)        # excluded, zero-filled
+        table = critical_type_numbers(data, None)  # excluded, zero-filled
         chis, chi_hat = euler_characteristics(table, data)
         assert chis[1] == 0 and chi_hat == Fraction(1, 2)
 
@@ -238,7 +239,7 @@ class TestSeries:
     def circle_pair(self):
         ms = np.arange(1, 260)
         data = fake_index_data("y1", 1, list(2 * ms - 2), [1] * len(ms), 2.0, K=2)
-        table = critical_type_numbers(data)
+        table = critical_type_numbers(data, None)
         return data, table
 
     def test_empty_orbit_set(self):
@@ -265,8 +266,8 @@ class TestSeries:
         ms = np.arange(1, 320)
         d1 = fake_index_data("n1", 1, list(-2 * ms), [1] * len(ms), -2.0, K=2)
         d2 = fake_index_data("n2", 1, list(-2 * ms + 1), [1] * len(ms), -2.0, K=2)
-        t1 = critical_type_numbers(d1)
-        t2 = critical_type_numbers(d2)
+        t1 = critical_type_numbers(d1, None)
+        t2 = critical_type_numbers(d2, None)
         _, ch1 = euler_characteristics(t1, d1)
         _, ch2 = euler_characteristics(t2, d2)
         assert ch1 == Fraction(1) and ch2 == Fraction(-1)
@@ -286,7 +287,7 @@ class TestSeries:
     def test_ladder_converges_to_half(self):
         data, table = self.circle_pair()
         rungs, C2, stable = series_ladder([data], [table], [2 * np.pi],
-                                          N_list=(25, 50, 100))
+                                          N_list=(25, 50, 100), s_plus=0.5)
         ratios = [r["ratio_plus"] for r in rungs]
         assert stable
         assert abs(ratios[-1] - 0.5) <= C2 / (2 * 100) + 1e-12
@@ -311,8 +312,8 @@ def test_residual_not_worse_under_refinement():
         for orb in orbits:
             d = compute_orbit_index_data(orb.orbit_id,
                                          IndexComputer(paths[orb.orbit_id]),
-                                         m_max=8)
-            table = critical_type_numbers(d)
+                                         m_max=8, **TURNS)
+            table = critical_type_numbers(d, None)
             chis, chi_hat = euler_characteristics(table, d)
             contribs.append(OrbitContribution(
                 orb.orbit_id, d.mean_index_exact, d.mean_index_bar,
@@ -324,7 +325,7 @@ def test_residual_not_worse_under_refinement():
 def test_partial_averages_hit_closed_form_at_multiples():
     ms = np.arange(1, 41)
     data = fake_index_data("y1", 1, list(2 * ms - 2), [1] * len(ms), 2.0, K=2)
-    table = critical_type_numbers(data)
+    table = critical_type_numbers(data, None)
     _, chi_hat = euler_characteristics(table, data)
     avgs = chi_partial_averages(table, data, 40)
     for mult in range(1, 21):
