@@ -27,14 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from . import galerkin as gk
-from .errors import (CharlabError, ConsistencyFailure, InvalidArgument,
-                     InvariantViolation, NumericFailure)
+from .errors import (CharlabError, ConsistencyFailure, ConstructionFailure,
+                     InvalidArgument, InvariantViolation, NumericFailure)
 from .flow import integrate_linearized, path_max_defect
 from .geometry import check_surface_invariants, lattice_gap, surface_from_spec
 from .index import (IndexComputer, IterationData, compute_orbit_index_data,
                     extend_records, index_data_from_iteration)
-from .orbits import (find_orbits, gate_orbit, load_registry, write_registry,
-                     trajectory_distance)
+from .orbits import (find_orbits, gate_orbit, load_registry, surface_residual,
+                     trajectory_distance, write_registry)
 from .resonance import (OrbitContribution, chi_partial_averages,
                         critical_type_numbers, euler_characteristics,
                         identity_check, series_ladder, write_series_csv)
@@ -255,7 +255,7 @@ def _registry(cfg, surface) -> list:
         raise ConsistencyFailure(f"{reg.name} lists no orbits; rerun the orbits stage")
     closure = cfg.tolerances["closure"]
     for orb in orbits:
-        dev = float(np.max(np.abs(surface.gauge(orb.trajectory.xs) - 1.0)))
+        dev = surface_residual(surface, orb)
         if not dev <= closure:
             raise ConsistencyFailure(
                 f"{reg.name}, orbit {orb.orbit_id}: samples leave the "
@@ -400,7 +400,7 @@ def stage_index_from_files(cfg, surface, orbits):
                         f"{orb.prime_period!r}")
         try:
             iteration = IterationData.from_json(it, surface.dim_n)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, ConstructionFailure) as e:
             raise stale("iteration", f"malformed ({e!r})")
         d = index_data_from_iteration(oid, iteration,
                                       m_max=int(cfg.index_opts["m_max"]),
@@ -461,11 +461,9 @@ def stage_resonance(cfg, surface) -> int:
                     if not c.excluded and c.orbit_id not in report.zero_mean_orbits]
         datas = [index_data[i] for i in included]
         tabs = [tables[i] for i in included]
-        taus = [next(o.prime_period for o in orbits if o.orbit_id == i)
-                for i in included]
         if datas:
             rungs, C2, stable = series_ladder(
-                datas, tabs, taus, N_list=tuple(cfg.morse_opts["N_list"]),
+                datas, tabs, N_list=tuple(cfg.morse_opts["N_list"]),
                 s_plus=float(report.S_plus))
             payload["series"] = {
                 "rungs": [{"N": r["N"], "eval_plus": r["series"].eval_plus,

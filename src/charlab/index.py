@@ -10,12 +10,13 @@ i_omega is locally constant off the monodromy's unit eigenvalues, so it is
 read from a table of the arcs between eigenvalue angles; a root of unity
 within ``angle_tol`` of an eigenvalue angle takes the index at that
 eigenvalue.  ``IterationData`` holds this one-period data (and writes it
-to and reads it from JSON); a range of iterates is one numpy pass over all
-their roots.  The table needs no scan when nu(y) = 1 and the other unit
-eigenvalues are simple and Krein-definite: for alpha in (1, 2) the
-monodromy is N_1(1, 1) <> M_y (Long, ch. 15), so i_omega is i(y) + n + 1
-on the first arc after 1 (S+_M(1) = 1); the Krein steps (``_krein_step``)
-and i_omega = i_conj(omega) give the other arcs and the values on the
+to and reads it from JSON); each iterate's sums count the roots of unity
+on every arc by floors, so no root is listed.  The table needs no scan
+when nu(y) = 1 and the other unit eigenvalues are simple and
+Krein-definite: for alpha in (1, 2) the monodromy is N_1(1, 1) <> M_y
+(Long, ch. 15), so i_omega is i(y) + n + 1 on the first arc after 1
+(S+_M(1) = 1); the Krein steps (``_krein_step``) and
+i_omega = i_conj(omega) give the other arcs and the values on the
 eigenvalues.  Anything else (-1 included) is scanned.
 A one-period index counts regular crossings of
 ``det(R(t) - omega I) = 0``: the start gives half the signature of S(0)
@@ -36,8 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (ConsistencyFailure, InvalidArgument, InvariantViolation,
-                     NumericFailure)
+from .errors import (ConsistencyFailure, ConstructionFailure, InvalidArgument,
+                     InvariantViolation, NumericFailure)
 from .flow import SymplecticPath
 from .ode import brentq, minimize_bounded
 from .sympl import standard_J
@@ -73,7 +74,8 @@ class IterationData:
     """One period's data for the iteration formula: the monodromy's unit
     eigenvalue angles (0 included), i_omega on the open arcs between them as
     (lo, hi, i_omega), and (i_omega, dim_C ker(M - omega I)) at each
-    eigen-angle that is a rational turn, in the path normalisation."""
+    eigen-angle that is a rational turn, in the path normalisation; its
+    shape is checked when built."""
 
     dim_n: int
     eigen_angles: list
@@ -81,65 +83,73 @@ class IterationData:
     on_point: dict
     angle_tol: float
 
-    def omega_pairs(self, angles):
-        """(i_omega, dim_C ker(M - omega I)) at omega = exp(i*angle) for
-        every angle, as two integer arrays.
-
-        An angle within ``angle_tol`` of its nearest eigen-angle (the first
-        one on a tie) takes the value at that eigen-angle, any other angle
-        the value on the open arc that contains it.
-        """
-        angles = np.asarray(angles, dtype=float)[:, None]
-        eig = np.asarray(self.eigen_angles, dtype=float)
-        gap = np.abs(eig - angles)
-        dist = np.minimum(gap, _TWO_PI - gap)
-        near = np.argmin(dist, axis=1)
-        on = np.take_along_axis(dist, near[:, None], 1)[:, 0] <= self.angle_tol
-        known = np.array([a in self.on_point for a in self.eigen_angles])
-        on_i, on_nu = np.array([self.on_point.get(a, (0, 0))
-                                for a in self.eigen_angles]).T
-        lo, hi, arc_i = (np.array(c) for c in zip(*self.arc_table))
-        inside = (lo < angles) & (angles < hi)
-        fail = np.flatnonzero(np.where(on, ~known[near], ~inside.any(axis=1)))
-        if fail.size:
-            j = fail[0]
-            info = dict(angle=float(angles[j, 0]),
-                        eigen_angle=float(eig[near[j]]))
-            if on[j]:
-                raise NumericFailure(
-                    "a root of unity lands on an eigenvalue angle that is "
-                    "not a recognised rational turn", **info)
-            raise NumericFailure("a root of unity lies on no arc of the "
-                                 "index table", **info)
-        arc = np.argmax(inside, axis=1)
-        return (np.where(on, on_i[near], arc_i[arc]),
-                np.where(on, on_nu[near], 0))
+    def __post_init__(self):
+        angles = self.eigen_angles
+        ends = angles[1:] + [_TWO_PI]
+        if not angles or angles[0] != 0.0 or any(a >= b for a, b in
+                                                  zip(angles, ends)):
+            raise ConstructionFailure(
+                "eigen-angles must rise strictly from 0.0 and stay below 2 pi")
+        if [tuple(arc[:2]) for arc in self.arc_table] != list(zip(angles, ends)):
+            raise ConstructionFailure(
+                "the arc table must hold one arc per pair of consecutive "
+                "eigen-angles, the last ending at 2 pi")
+        if 0.0 not in self.on_point or not set(self.on_point) <= set(angles):
+            raise ConstructionFailure(
+                "on-point data must be keyed by eigen-angles, 0.0 among them")
 
     def iterate_table(self, m_from: int, m_upto: int):
         """(index, nullity) of the iterates m_from..m_upto as two integer
         arrays, in the surface normalisation: i(y^m) + n and nu(y^m) are
-        the sums over the m-th roots of unity exp(2 pi i k/m)."""
+        the sums over the m-th roots of unity exp(2 pi i k/m), per arc.
+
+        With x = m a / 2 pi, the root k = round(x) hits the eigen-angle a
+        within ``angle_tol`` and takes the value at its nearest eigen-angle
+        (the first on a tie).  The arc (lo, hi) holds the integers k
+        strictly between x_lo and x_hi, ceil(x_hi) - floor(x_lo) - 1 of
+        them; all but the hit ones (root 0 as k = m) take the arc's value.
+        """
         if m_from < 1:
             raise InvalidArgument("iterate must be >= 1")
-        index, nullity = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-        while m_from <= m_upto:
-            # at most about 2^18 roots per pass bounds the arrays' memory
-            last = min(m_upto, max(m_from, math.isqrt(m_from**2 + 2**19)))
-            ms = np.arange(m_from, last + 1)
-            starts = np.cumsum(ms) - ms
-            m_of = np.repeat(ms, ms)
-            k = np.arange(len(m_of)) - np.repeat(starts, ms)
-            i_om, nu_om = self.omega_pairs(_TWO_PI * k / m_of)
-            nu = np.add.reduceat(nu_om, starts)
-            bad = np.flatnonzero((nu < 1) | (nu > 2 * self.dim_n - 1))
-            if bad.size:
-                raise InvariantViolation(
-                    f"nullity {nu[bad[0]]} outside [1, {2 * self.dim_n - 1}]"
-                    f" at iterate {ms[bad[0]]}")
-            index.append(np.add.reduceat(i_om, starts) - self.dim_n)
-            nullity.append(nu)
-            m_from = last + 1
-        return np.concatenate(index), np.concatenate(nullity)
+        if m_upto * self.angle_tol >= np.pi:
+            raise InvalidArgument(
+                f"angle_tol {self.angle_tol!r} holds two {m_upto}-th roots "
+                f"of unity; it must stay below pi / {m_upto}")
+        ms = np.arange(m_from, m_upto + 1)[:, None]
+        eig = np.array(self.eigen_angles)
+        x = ms * np.append(eig, _TWO_PI) / _TWO_PI          # x[:, 0] = 0
+        k = np.rint(x[:, :-1]).astype(int) % ms
+        gap = np.abs(eig - _TWO_PI * k / ms)
+        dist = np.minimum(gap, _TWO_PI - gap)
+        hit = dist <= self.angle_tol
+        # a root that hits several eigen-angles goes to the nearest only
+        other, own = dist[:, None, :], dist[:, :, None]
+        first = np.tri(len(eig), k=-1, dtype=bool)    # [j, j']: j' before j
+        hit &= ~(hit[:, None, :] & (k[:, None, :] == k[:, :, None])
+                 & ((other < own) | (other == own) & first)).any(axis=2)
+        known = np.array([a in self.on_point for a in self.eigen_angles])
+        bad = np.argwhere(hit & ~known)
+        if bad.size:
+            row, j = bad[0]
+            raise NumericFailure(
+                "a root of unity lands on an eigenvalue angle that is not a "
+                "recognised rational turn", iterate=int(ms[row, 0]),
+                eigen_angle=float(eig[j]))
+        on_i, on_nu = np.array([self.on_point.get(a, (0, 0))
+                                for a in self.eigen_angles]).T
+        nu = hit @ on_nu
+        bad = np.flatnonzero((nu < 1) | (nu > 2 * self.dim_n - 1))
+        if bad.size:
+            raise InvariantViolation(
+                f"nullity {nu[bad[0]]} outside [1, {2 * self.dim_n - 1}]"
+                f" at iterate {ms[bad[0], 0]}")
+        # each hit root leaves the arc whose count holds it (root 0 as k = m)
+        t = np.where(k == 0, ms, k)[:, :, None]
+        held = (hit[:, :, None] & (x[:, None, :-1] < t)
+                & (t < x[:, None, 1:])).sum(axis=1)
+        count = (np.ceil(x[:, 1:]) - np.floor(x[:, :-1])).astype(int) - 1
+        arc_i = np.array([i for _, _, i in self.arc_table])
+        return (count - held) @ arc_i + hit @ on_i - self.dim_n, nu
 
     def to_json(self) -> dict:
         """The data as JSON values; floats round-trip exactly."""

@@ -19,7 +19,6 @@ from .errors import InvalidArgument, TableRuleViolation
 from .index import OrbitIndexData, extend_records
 
 _ZERO_TOL = 1e-10       # a float mean index this near 0 is 0
-_LADDER_MARGIN = 1.3    # period cap over the iterates a rung needs
 
 # ---------------------------------------------------------------------------
 # critical type numbers
@@ -297,30 +296,26 @@ class MorseSeries:
         return self.eval_minus / (2.0 * self.N)
 
 
-def morse_series(orbit_data, tables, taus, a: float, *, N: int) -> MorseSeries:
+def morse_series(orbit_data, tables, *, N: int) -> MorseSeries:
     """Assemble w_h for 2C <= |h| <= 2N, C = 2n^2, from the per-iterate
-    indices and type numbers, counting iterates sK(y)+m below the period
-    cap a/tau.
+    indices and type numbers of iterates sK(y)+m, for every iterate whose
+    index can reach the window.
 
     Each coefficient receives, from orbit j with slot l and base iterate m,
     the number of s >= 0 with i(y^(sK+m)) + l = h; that count is bounded by
     4n/(K(y)|ihat|) + 2, which is checked and reported.
     """
-    if not orbit_data:
-        return MorseSeries(C=0, N=N, w={}, eval_plus=0, eval_minus=0,
-                           count_bound_ok=True, C1=0.0)
     n = orbit_data[0].dim_n
     C = 2 * n * n
     if 2 * N <= 2 * C:
         raise InvalidArgument("need N > C")
     w = {}
     bound_ok = True
-    for data, table, tau in zip(orbit_data, tables, taus):
+    for data, table in zip(orbit_data, tables):
         K = data.K_of_y
         ihat = float(data.mean_index_exact)
-        cap = a / tau
         # iterates needed: until the index leaves the window |h| <= 2N + slack
-        q_need = int(min(cap, (2 * N + 4 * n + 2) / max(abs(ihat), 1e-9) + K + 2))
+        q_need = int((2 * N + 4 * n + 2) / max(abs(ihat), 1e-9) + K + 2)
         extend_records(data, q_need)
         bound = 4.0 * n / (K * abs(ihat)) + 2.0 if ihat != 0 else np.inf
         worst = 0
@@ -330,16 +325,11 @@ def morse_series(orbit_data, tables, taus, a: float, *, N: int) -> MorseSeries:
                 if kl == 0:
                     continue
                 cnt = {}
-                s = 0
-                while True:
-                    q = s * K + m
-                    if q >= cap or q > q_need:
-                        break
+                for q in range(m, q_need + 1, K):
                     h = data.index(q) + l
                     if 2 * C <= abs(h) <= 2 * N:
                         w[h] = w.get(h, 0) + kl
                         cnt[h] = cnt.get(h, 0) + 1
-                    s += 1
                 if cnt:
                     worst = max(worst, max(cnt.values()))
         if worst > bound:
@@ -352,17 +342,12 @@ def morse_series(orbit_data, tables, taus, a: float, *, N: int) -> MorseSeries:
                        C1=C1)
 
 
-def series_ladder(orbit_data, tables, taus, *, N_list, s_plus: float):
+def series_ladder(orbit_data, tables, *, N_list, s_plus: float):
     """Evaluate the series over increasing windows and report the deviation
     |eval_plus - 2N * S_plus| at each rung (bounded uniformly in N)."""
     rungs = []
     for N in N_list:
-        a = 0.0
-        for d, tau in zip(orbit_data, taus):
-            q_need = ((2 * N + 8) / max(abs(float(d.mean_index_exact)), 1e-9)
-                      + d.K_of_y + 2)
-            a = max(a, _LADDER_MARGIN * q_need * tau)
-        ms = morse_series(orbit_data, tables, taus, a, N=N)
+        ms = morse_series(orbit_data, tables, N=N)
         dev = abs(ms.eval_plus - 2 * N * s_plus)
         rungs.append({"N": N, "series": ms, "deviation": dev,
                       "ratio_plus": ms.ratio_plus(),

@@ -214,7 +214,7 @@ def test_criterion_8_reduction_vs_shooting():
 
 
 def test_criterion_9_series_diagnostics(ell2_bundle):
-    datas, tables, taus = [], [], []
+    datas, tables = [], []
     s_plus = 0.0
     for orb in ell2_bundle.orbits:
         d = ell2_bundle.index_data[orb.orbit_id]
@@ -223,8 +223,7 @@ def test_criterion_9_series_diagnostics(ell2_bundle):
         s_plus += float(chi_hat) / d.mean_index
         datas.append(d)
         tables.append(table)
-        taus.append(orb.prime_period)
-    rungs, C2, stable = series_ladder(datas, tables, taus,
+    rungs, C2, stable = series_ladder(datas, tables,
                                       N_list=(50, 100, 200), s_plus=s_plus)
     bounds_ok = all(r["series"].count_bound_ok for r in rungs)
     ratios = [r["ratio_plus"] for r in rungs]

@@ -959,6 +959,21 @@ def _no_records(orbit):
     orbit["records"] = []
 
 
+def _dropped_arc(orbit):
+    del orbit["iteration"]["arc_table"][-1]
+
+
+def _unsorted_angles(orbit):
+    two_pi = orbit["iteration"]["arc_table"][-1][1]
+    orbit["iteration"]["eigen_angles"] = [0.0, 4.0, 2.0]
+    orbit["iteration"]["arc_table"] = [[0.0, 4.0, 2], [4.0, 2.0, 2],
+                                       [2.0, two_pi, 2]]
+
+
+def _foreign_on_point(orbit):
+    orbit["iteration"]["on_point"].append([1.0, 2, 1])
+
+
 @pytest.mark.parametrize("tamper, field", [
     (_tamper_records, "'records'"),
     (_stale_period, "'iteration.prime_period'"),
@@ -968,6 +983,9 @@ def _no_records(orbit):
     (_wrong_slope, "'slope_estimate'"),
     (_truncated_records, "'records'"),
     (_no_records, "'records'"),
+    (_dropped_arc, "'iteration'"),
+    (_unsorted_angles, "'iteration'"),
+    (_foreign_on_point, "'iteration'"),
 ])
 def test_resume_rejects_a_report_it_cannot_trust(tmp_path, capsys, tamper,
                                                  field):
@@ -981,6 +999,7 @@ def test_resume_rejects_a_report_it_cannot_trust(tmp_path, capsys, tamper,
     assert main(["run", str(cfg_path), "--stages", "resonance"]) == 1
     err = capsys.readouterr().err
     assert "orbit y1" in err and field in err, err
+    assert "Traceback" not in err, err
 
 
 def _orbits_as_a_list(report):
@@ -991,9 +1010,15 @@ def _orbit_as_a_list(report):
     report["orbits"]["y1"] = list(report["orbits"]["y1"].values())
 
 
+def _arc_dropped_from_y1(report):
+    _dropped_arc(report["orbits"]["y1"])
+
+
 @pytest.mark.parametrize("tamper, named", [
     (_orbits_as_a_list, "index_report.json: 'orbits' is not an object"),
     (_orbit_as_a_list, "index_report.json, orbit y1: not an object"),
+    (_arc_dropped_from_y1,
+     "index_report.json, orbit y1, field 'iteration': malformed"),
 ])
 @pytest.mark.parametrize("argv", [["run", "--stages", "resonance"], ["audit"]])
 def test_a_report_of_the_wrong_shape_is_named(tmp_path, capsys, argv, tamper,

@@ -1,12 +1,15 @@
 """Index/nullity tables, mean index, minimal period, dimension shift."""
 
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from charlab.cli import bott_witness
-from charlab.errors import InvariantViolation, NumericFailure
+from charlab.errors import (ConstructionFailure, InvalidArgument,
+                            InvariantViolation, NumericFailure)
 from charlab.flow import SymplecticPath, integrate_linearized
 from charlab.index import (IndexComputer, IterationData, _first_arc_value,
                            compute_orbit_index_data, dimension_shift,
@@ -14,7 +17,7 @@ from charlab.index import (IndexComputer, IterationData, _first_arc_value,
                            unit_spectrum_angles)
 from charlab.sympl import standard_J
 
-from conftest import TURNS
+from conftest import TURNS, solve_bundle
 
 
 def maslov_index(path, m):
@@ -173,6 +176,32 @@ def per_root_pair(it, m):
         total += i_om
         nu += nu_om
     return total - it.dim_n, nu
+
+
+def root_sum_table(it, ms):
+    """``per_root_pair`` of the iterates ``ms`` in one numpy pass over all
+    their roots of unity: each root takes the value at its nearest
+    eigen-angle (the first on a tie) when within ``angle_tol`` of it, else
+    the value on the open arc holding it; a root on an eigen-angle with no
+    on-point value, or on no arc, fails the test."""
+    starts = np.cumsum(ms) - ms
+    m_of = np.repeat(ms, ms)
+    k = np.arange(len(m_of)) - np.repeat(starts, ms)
+    angles = (2 * np.pi * k / m_of)[:, None]
+    eig = np.array(it.eigen_angles)
+    gap = np.abs(eig - angles)
+    dist = np.minimum(gap, 2 * np.pi - gap)
+    near = np.argmin(dist, axis=1)
+    on = dist[np.arange(len(k)), near] <= it.angle_tol
+    on_i, on_nu = np.array([it.on_point.get(a, (0, 0))
+                            for a in it.eigen_angles]).T
+    lo, hi, arc_i = (np.array(c) for c in zip(*it.arc_table))
+    inside = (lo < angles) & (angles < hi)
+    assert all(a in it.on_point for a in eig[near[on]])
+    assert inside[~on].any(axis=1).all()
+    i_om = np.where(on, on_i[near], arc_i[np.argmax(inside, axis=1)])
+    return (np.add.reduceat(i_om, starts) - it.dim_n,
+            np.add.reduceat(np.where(on, on_nu[near], 0), starts))
 
 
 class TestCircleIndices:
@@ -547,22 +576,96 @@ def test_iterate_table_matches_per_root_oracle(
                     == per_root_pair(d.iteration, m), (oid, m)
 
 
+@pytest.fixture(scope="module")
+def near_resonant_bundle():
+    # squared radii 1 : 2(1 + 3e-6): eigen-angles a few 1e-6 off rational
+    return solve_bundle([1.0, (2 * (1 + 3e-6))**0.5])
+
+
+@pytest.fixture(scope="module")
+def rational_turn_bundle():
+    # squared radii 1 : 1.5 : 2.5 give eigen-angles at rational turns
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return solve_bundle([1.0, 1.5**0.5, 2.5**0.5])
+
+
+def test_iterate_table_matches_the_root_sum(
+        circle_bundle, ell2_bundle, ell3_bundle, perturbed_bundle,
+        tied_root_bundle, near_resonant_bundle, rational_turn_bundle):
+    for bundle in (circle_bundle, ell2_bundle, ell3_bundle, perturbed_bundle,
+                   tied_root_bundle, near_resonant_bundle,
+                   rational_turn_bundle):
+        for oid, d in bundle.index_data.items():
+            index, nullity = d.iteration.iterate_table(1, 2000)
+            for ms in np.array_split(np.arange(1, 2001), 16):
+                root_index, root_nullity = root_sum_table(d.iteration, ms)
+                assert np.array_equal(index[ms - 1], root_index), oid
+                assert np.array_equal(nullity[ms - 1], root_nullity), oid
+
+
+def tie_table(first, second):
+    """n = 2 table with eigen-angles ``first`` < ``second`` both within
+    angle_tol of one root of unity; nu is 2 on the first, 3 on the second."""
+    return IterationData(
+        dim_n=2, eigen_angles=[0.0, first, second],
+        arc_table=[(0.0, first, 2), (first, second, 3),
+                   (second, 2 * np.pi, 4)],
+        on_point={0.0: (1, 1), first: (2, 2), second: (3, 3)},
+        angle_tol=1e-7)
+
+
+@pytest.mark.parametrize("m, first, second", [
+    (3, 2 * np.pi / 3, 2 * np.pi / 3 + 5e-8),              # nearer wins
+    (4, np.pi / 2 - 2.0**-30, np.pi / 2 + 2.0**-30),       # exact tie
+])
+def test_a_root_near_two_eigen_angles_counts_once(m, first, second):
+    it = tie_table(first, second)
+    index, nullity = it.iterate_table(1, 3 * m)
+    assert nullity[m - 1] == 1 + 2
+    ks = np.arange(1, 3 * m + 1)
+    assert np.array_equal(np.array([index, nullity]), root_sum_table(it, ks))
+    for k in ks:
+        assert (index[k - 1], nullity[k - 1]) == per_root_pair(it, k), k
+
+
 def test_iterate_table_in_pieces_equals_one_pass(ell3_bundle):
     it = ell3_bundle.index_data["y2"].iteration
-    index, nullity = it.iterate_table(1, 1700)     # more than one pass
+    index, nullity = it.iterate_table(1, 1700)     # a range and its tail
     assert np.array_equal(it.iterate_table(1000, 1700)[0], index[999:])
     assert np.array_equal(it.iterate_table(1000, 1700)[1], nullity[999:])
 
 
-def test_root_on_no_arc_is_a_named_failure():
-    # the arc (1.0, 1.0 + 5e-10) is narrower than the table keeps, and the
-    # angle 1.0 + 2e-10 is farther than angle_tol from both its ends
-    it = IterationData(dim_n=1, eigen_angles=[0.0, 1.0, 1.0 + 5e-10],
-                       arc_table=[(0.0, 1.0, 0), (1.0 + 5e-10, 2 * np.pi, 1)],
-                       on_point={0.0: (1, 1)}, angle_tol=1e-12)
-    with pytest.raises(NumericFailure, match="no arc") as e:
-        it.omega_pairs([0.5, 1.0 + 2e-10])
-    assert e.value.info == {"angle": 1.0 + 2e-10, "eigen_angle": 1.0}
+def test_a_table_with_a_gap_is_rejected_at_construction():
+    # the arc (1.0, 1.0 + 5e-10) is missing: a root there would lie on no arc
+    with pytest.raises(ConstructionFailure, match="one arc per pair"):
+        IterationData(dim_n=1, eigen_angles=[0.0, 1.0, 1.0 + 5e-10],
+                      arc_table=[(0.0, 1.0, 0), (1.0 + 5e-10, 2 * np.pi, 1)],
+                      on_point={0.0: (1, 1)}, angle_tol=1e-12)
+
+
+@pytest.mark.parametrize("angles, ends, on_point, named", [
+    ([0.5, 1.0], [1.0, 2 * np.pi], {0.5: (1, 1)}, "from 0.0"),
+    ([0.0, 2.0, 1.0], [2.0, 1.0, 2 * np.pi], {0.0: (1, 1)}, "rise strictly"),
+    ([0.0, 2 * np.pi], [2 * np.pi, 2 * np.pi], {0.0: (1, 1)}, "below 2 pi"),
+    ([0.0, 1.0], [1.0, 6.0], {0.0: (1, 1)}, "ending at 2 pi"),
+    ([0.0, 1.0], [1.0, 2 * np.pi], {0.0: (1, 1), 0.5: (1, 1)}, "keyed by"),
+    ([0.0, 1.0], [1.0, 2 * np.pi], {1.0: (1, 1)}, "0.0 among them"),
+])
+def test_iteration_data_checks_its_shape(angles, ends, on_point, named):
+    with pytest.raises(ConstructionFailure, match=named):
+        IterationData(dim_n=1, eigen_angles=angles,
+                      arc_table=[(a, b, 2) for a, b in zip(angles, ends)],
+                      on_point=on_point, angle_tol=1e-7)
+
+
+def test_an_angle_tol_that_holds_two_roots_is_refused(circle_bundle):
+    # the 100th roots of unity lie 2 pi / 100 apart
+    it = circle_bundle.index_data["y1"].iteration
+    with pytest.raises(InvalidArgument, match="pi / 100"):
+        replace(it, angle_tol=np.pi / 100).iterate_table(1, 100)
+    wide = replace(it, angle_tol=0.99 * np.pi / 100).iterate_table(1, 100)
+    assert np.array_equal(np.array(wide), it.iterate_table(1, 100))
 
 
 def test_root_on_irrational_eigen_angle_is_a_named_failure():
@@ -573,8 +676,9 @@ def test_root_on_irrational_eigen_angle_is_a_named_failure():
                        arc_table=[(0.0, root + 1e-9, 2),
                                   (root + 1e-9, 2 * np.pi, 3)],
                        on_point={0.0: (1, 1)}, angle_tol=1e-7)
-    with pytest.raises(NumericFailure, match="not a recognised rational"):
+    with pytest.raises(NumericFailure, match="not a recognised rational") as e:
         it.iterate_table(1, 6)
+    assert e.value.info == {"iterate": 6, "eigen_angle": root + 1e-9}
 
 
 def test_iteration_data_round_trips_through_json(tied_root_bundle):

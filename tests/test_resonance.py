@@ -242,16 +242,10 @@ class TestSeries:
         table = critical_type_numbers(data, None)
         return data, table
 
-    def test_empty_orbit_set(self):
-        ms = morse_series([], [], [], a=10.0, N=50)
-        assert ms.w == {} and ms.eval_plus == 0 and ms.eval_minus == 0
-
     def test_circle_window_counts(self):
         data, table = self.circle_pair()
-        tau = 2 * np.pi
         N = 60
-        a = 1.3 * ((2 * N + 8) / 2.0 + 4) * tau
-        ms = morse_series([data], [table], [tau], a, N=N)
+        ms = morse_series([data], [table], N=N)
         # every even level in [2C, 2N] is hit exactly once
         assert all(ms.w.get(h, 0) == 1 for h in range(2 * ms.C, 2 * N + 1, 2))
         assert ms.eval_plus == N - ms.C + 1
@@ -276,9 +270,7 @@ class TestSeries:
             OrbitContribution("n2", Fraction(-2), 0.0, ch2, [], 2)])
         assert rep.S_zero == Fraction(0)
         N = 80
-        tau = 2 * np.pi
-        a = 1.3 * ((2 * N + 8) / 2.0 + 4) * tau
-        series = morse_series([d1, d2], [t1, t2], [tau, tau], a, N=N)
+        series = morse_series([d1, d2], [t1, t2], N=N)
         assert series.eval_plus == 0
         assert all(h <= -2 * series.C for h in series.w)
         assert abs(series.eval_minus) <= 2
@@ -286,7 +278,7 @@ class TestSeries:
 
     def test_ladder_converges_to_half(self):
         data, table = self.circle_pair()
-        rungs, C2, stable = series_ladder([data], [table], [2 * np.pi],
+        rungs, C2, stable = series_ladder([data], [table],
                                           N_list=(25, 50, 100), s_plus=0.5)
         ratios = [r["ratio_plus"] for r in rungs]
         assert stable
