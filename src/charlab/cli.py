@@ -275,12 +275,8 @@ def stage_orbits(cfg, surface):
     tol = cfg.tolerances
     orbits = find_orbits(surface, tol=tol["closure"] * 1e-2,
                          int_tol=tol["integrator"])
-    gates = {}
-    for orb in orbits:
-        gates[orb.orbit_id] = gate_orbit(surface, orb,
-                                         closure_tol=tol["closure"],
-                                         int_tol=tol["integrator"])
-    extra = {"gates": gates}
+    extra = {"gates": gate_orbit(surface, orbits, closure_tol=tol["closure"],
+                                 int_tol=tol["integrator"])}
     if cfg.galerkin_enable:
         extra["galerkin"] = _galerkin_cross_validate(cfg, surface, orbits)
     write_registry(orbits, cfg.out_dir / "orbits.json", extra)

@@ -3,19 +3,22 @@
 Every solve integrates the surface's own field ``ydot = J grad j(y)``
 (H = j; on the surface ``grad j(y) . y = 1``, so its trajectories carry the
 canonical time normalisation used for periods) with the DOP853 port of
-``charlab.ode`` and dense output.  A step size that falls below the float
-spacing raises ``NumericFailure``, and the drift of j is checked on all
-samples in one gauge evaluation.
+``charlab.ode``.  A step size that falls below the float spacing raises
+``NumericFailure``, and the drift of j is checked on all samples of each
+orbit in one gauge evaluation.
 
 For index work the linearization is integrated jointly with the flow, with
 the effective Hessian S(x) = (alpha-1) g g^T + hess j taken from one gauge
 jet per right-hand side call.  It equals hess(j^alpha)/alpha on the surface
 level: the linearized flow of j^alpha after rescaling time by the constant
 factor alpha, which changes no crossing count, monodromy, index or nullity.
-All orbits are solved at once, each rescaled to s in [0, 1] and stacked
-into one state: they share DOP853's steps (RMS error norm over the stack)
-and one jet call per stage, and each keeps its own gates and reads only its
-own columns of the shared dense solution.
+
+Every solve is stacked (``solve_stacked``): the flow solve, the linearized
+solve and the orbit search's variational solve each take all their orbits at
+once, each rescaled to s in [0, 1] and stacked into one state.  They share
+DOP853's steps (RMS error norm over the stack) and one gauge call per stage
+on the block of points, and each orbit keeps its own gates and reads only
+its own columns of the shared dense solution, in its own time.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericFailure
+from .errors import InvalidArgument, NumericFailure
 from .geometry import Hypersurface
-from .ode import DenseSolution, dop853
+from .ode import DenseSolution, OdeResult, dop853
 from .sympl import project_symplectic, standard_J, symplectic_defect
 
 LOOP_SAMPLES = 257      # uniform samples of a stored loop, whatever found it
@@ -37,12 +40,16 @@ _DEFECT_GATE = 1e-6     # sampled symplecticity defect a path may not exceed
 
 @dataclass
 class Trajectory:
-    """A solved arc of the flow with uniform samples ``ts`` from 0."""
+    """A solved arc of the flow with uniform samples ``ts`` from 0.
+
+    ``flow`` is the (surface, tol) of the ``integrate_flow`` solve that made
+    it, and None for a loop sampled any other way."""
 
     ts: np.ndarray
     xs: np.ndarray
     closure_residual: float
     sol: object = field(repr=False, default=None)
+    flow: tuple | None = field(repr=False, default=None)
 
     @property
     def x0(self):
@@ -89,30 +96,78 @@ class SymplecticPath:
         return self.S_of_t(float(t) % self.period)
 
 
-def integrate_flow(surface: Hypersurface, x0, t_end: float, *,
-                   tol: float) -> Trajectory:
-    """Adaptive high-order integration of xdot = J grad j(x) over
-    [0, t_end], t_end > 0, sampled at ``LOOP_SAMPLES`` uniform times.
+def solve_stacked(field_of, y0s, taus, rtol: float, atol: float, *,
+                  dense_output: bool = False) -> OdeResult:
+    """One DOP853 solve of the systems y' = field_of(Y), one per row of
+    ``y0s``, each over its own time [0, taus[k]], taus > 0.
 
-    Reported local error tolerance is ``tol``; the drift of j along the
-    returned samples must stay within 10 * tol * max(1, t_end) * scale.
+    Each system is rescaled to s in [0, 1] (y' = tau f(y)) and the rows are
+    stacked into one state: they share the steps (RMS error norm over the
+    stack) and one ``field_of`` call per stage on the (k, w) block of
+    current states.  ``_own_time`` views one row's dense solution.
     """
-    x0 = np.asarray(x0, dtype=float)
+    y0s = np.asarray(y0s, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    if not np.all(taus > 0):
+        raise InvalidArgument(f"the flow integrates forward only, got "
+                              f"times {taus.tolist()}")
+    shape = y0s.shape
+
+    def rhs(s, y):
+        return (taus[:, None] * field_of(y.reshape(shape))).ravel()
+
+    return dop853(rhs, (0.0, 1.0), y0s.ravel(), rtol, atol,
+                  dense_output=dense_output)
+
+
+def _own_time(stack: DenseSolution, k: int, w: int,
+              tau: float) -> DenseSolution:
+    """Row k of a stacked dense solution (``w`` states a row) in its own
+    time t = tau s; views, no copies."""
+    cols = slice(k * w, (k + 1) * w)
+    return DenseSolution(stack.ts * tau, stack.y_old[:, cols],
+                         stack.F[:, :, cols])
+
+
+def _starts(starts: dict):
+    """The start points and end times of orbit id -> (x0, t_end)."""
+    return (np.array(v, dtype=float) for v in zip(*starts.values()))
+
+
+def _dense_tolerances(tol: float, x0s):
+    """rtol and atol of the dense solves: local control well under the drift
+    budget, atol scaled by the smallest start point of the stack."""
+    rtol = max(1e-2 * tol, 3e-14)
+    return rtol, rtol * max(1.0, float(np.min(np.linalg.norm(x0s, axis=1))))
+
+
+def integrate_flow(surface: Hypersurface, starts: dict, *,
+                   tol: float) -> dict:
+    """Adaptive high-order integration of xdot = J grad j(x) for every orbit
+    id -> (x0, t_end), t_end > 0, of ``starts`` in one stacked DOP853 solve
+    (``solve_stacked``); returns orbit id -> its ``Trajectory`` over
+    [0, t_end], sampled at ``LOOP_SAMPLES`` uniform times, with its dense
+    solution in its own time.
+
+    Reported local error tolerance is ``tol``; each orbit's drift of j along
+    its samples must stay within 10 * tol * max(1, t_end) * scale, and a
+    failure names the orbit.
+    """
     J = standard_J(surface.dim_n)
-    h0 = float(surface.gauge(x0))
-
-    def rhs(t, x):
-        return J @ surface.gauge_grad(x)
-
-    scale = max(1.0, float(np.linalg.norm(x0)))
-    rtol = max(1e-2 * tol, 3e-14)   # local control well under the drift budget
-    res = dop853(rhs, (0.0, t_end), x0, rtol, rtol * scale, dense_output=True)
-    ts = np.linspace(0.0, t_end, LOOP_SAMPLES)
-    xs = res.sol(ts).T
-    _energy_drift(surface, xs, h0, t_end, tol)
-    return Trajectory(ts=ts, xs=xs,
-                      closure_residual=float(np.linalg.norm(xs[-1] - x0)),
-                      sol=res.sol)
+    x0s, taus = _starts(starts)
+    stack = solve_stacked(lambda X: surface.gauge_grad(X) @ J.T, x0s, taus,
+                          *_dense_tolerances(tol, x0s), dense_output=True).sol
+    out = {}
+    for k, (oid, tau) in enumerate(zip(starts, taus)):
+        sol = _own_time(stack, k, surface.dim, tau)
+        ts = np.linspace(0.0, tau, LOOP_SAMPLES)
+        xs = sol(ts).T
+        _energy_drift(surface, xs, float(surface.gauge(x0s[k])), tau, tol,
+                      f"orbit {oid}: ")
+        closure = float(np.linalg.norm(xs[-1] - x0s[k]))
+        out[oid] = Trajectory(ts=ts, xs=xs, closure_residual=closure, sol=sol,
+                              flow=(surface, tol))
+    return out
 
 
 def _energy_drift(surface: Hypersurface, xs, h0: float, t_end: float,
@@ -132,41 +187,36 @@ def integrate_linearized(surface: Hypersurface, starts: dict, alpha: float,
                          *, tol: float) -> dict:
     """Integrate R' = J S(x(t)) R, S(x) = (alpha-1) g g^T + hess j, jointly
     with the flow, for every orbit id -> (x0, tau) of ``starts`` in one
-    DOP853 solve; returns orbit id -> its path over [0, tau].
+    stacked DOP853 solve (``solve_stacked``); returns orbit id -> its path
+    over [0, tau].
 
-    Each orbit's system is rescaled to s in [0, 1] (y' = tau f(y)) and
-    stacked; the step control is the RMS error norm over the whole stack,
-    with atol = rtol max(1, min |x0|).  Each orbit keeps its own gates,
-    which name it: its drift of j is held to ``integrate_flow``'s budget, a
-    sampled symplecticity defect above ``_DEFECT_GATE`` raises, and above
-    1e-10 its end monodromy is retracted onto Sp(2n), while the stored
-    samples stay as integrated.
+    The tolerances are ``integrate_flow``'s.  Each orbit keeps its own
+    gates, which name it: its drift of j is held to ``integrate_flow``'s
+    budget, a sampled symplecticity defect above ``_DEFECT_GATE`` raises,
+    and above 1e-10 its end monodromy is retracted onto Sp(2n), while the
+    stored samples stay as integrated.
     """
     n = surface.dim_n
     d = 2 * n
     w = d + d * d                       # one orbit's columns of the stack
     J = standard_J(n)
-    x0s, taus = (np.array(v, dtype=float) for v in zip(*starts.values()))
+    x0s, taus = _starts(starts)
 
     def field_at(x):
         g, H = surface.jet(x)
         return g, (alpha - 1.0) * (g[..., :, None] * g[..., None, :]) + H
 
-    def rhs(s, y):
-        Y = y.reshape(len(taus), w)
+    def field_of(Y):
         g, S = field_at(Y[:, :d])
         JSR = (J @ S @ Y[:, d:].reshape(-1, d, d)).reshape(-1, d * d)
-        return (taus[:, None] * np.hstack([g @ J.T, JSR])).ravel()
+        return np.hstack([g @ J.T, JSR])
 
-    y0 = np.hstack([x0s, np.tile(np.eye(d).ravel(), (len(taus), 1))])
-    rtol = max(1e-2 * tol, 3e-14)
-    atol = rtol * max(1.0, float(np.min(np.linalg.norm(x0s, axis=1))))
-    stack = dop853(rhs, (0.0, 1.0), y0.ravel(), rtol, atol, dense_output=True).sol
+    y0s = np.hstack([x0s, np.tile(np.eye(d).ravel(), (len(taus), 1))])
+    stack = solve_stacked(field_of, y0s, taus, *_dense_tolerances(tol, x0s),
+                          dense_output=True).sol
 
     def path(k, oid, tau):
-        cols = slice(k * w, (k + 1) * w)    # views: one orbit's columns only
-        sol = DenseSolution(stack.ts * tau, stack.y_old[:, cols],
-                            stack.F[:, :, cols])
+        sol = _own_time(stack, k, w, tau)
         ts = np.linspace(0.0, tau, _PATH_SAMPLES)
         ys = sol(ts)
         _energy_drift(surface, ys[:d].T, float(surface.gauge(x0s[k])), tau,

@@ -15,13 +15,14 @@ import numpy as np
 
 from .errors import (ConsistencyFailure, InvalidArgument, InvariantViolation,
                      NumericFailure, SearchFailure)
-from .flow import LOOP_SAMPLES, Trajectory, integrate_flow
+from .flow import LOOP_SAMPLES, Trajectory, integrate_flow, solve_stacked
 from .geometry import Hypersurface, make_ellipsoid
-from .ode import dop853, minimize_bounded
+from .ode import minimize_bounded
 from .sympl import standard_J
 
 _PHASE_GRID = 128           # coarse time shifts of trajectory_distance
 _NEWTON_ITER = 40           # Gauss-Newton steps of shoot_for_orbit
+_BACKTRACKS = 20            # step halvings of one Gauss-Newton step
 _PRIME_CHECK_MAX = 12       # largest iterate a shot loop is tested for
 _SURFACE_TOL = 1e-8         # gate_orbit's bar on max |j - 1| over a loop
 _SEPARATION = 1e-4          # loops this close are one orbit
@@ -129,111 +130,179 @@ def ellipsoid_catalog(surface: Hypersurface) -> list:
     return orbits
 
 
-def _closure_map(surface: Hypersurface, x0, tau, tol):
-    """Flow endpoint, its state derivative (variational matrix) and the field."""
+def _closure_map(surface: Hypersurface, points: dict, tol: float) -> dict:
+    """Flow endpoint, its state derivative (variational matrix) and the
+    field there, for every orbit id -> (x0, tau) of ``points``, in one
+    stacked solve at rtol = atol = ``tol``; a failed solve is a
+    ``SearchFailure`` naming every orbit of the stack."""
     J = standard_J(surface.dim_n)
     d = surface.dim
 
-    def rhs(t, y):
-        g, H = surface.jet(y[:d])
-        return np.concatenate([J @ g, (J @ H @ y[d:].reshape(d, d)).ravel()])
+    def field_of(Y):
+        g, H = surface.jet(Y[:, :d])
+        JHV = (J @ H @ Y[:, d:].reshape(-1, d, d)).reshape(-1, d * d)
+        return np.hstack([g @ J.T, JHV])
 
-    y0 = np.concatenate([x0, np.eye(d).ravel()])
+    x0s, taus = (np.array(v, dtype=float) for v in zip(*points.values()))
+    y0s = np.hstack([x0s, np.tile(np.eye(d).ravel(), (len(taus), 1))])
     try:
-        res = dop853(rhs, (0.0, tau), y0, tol, tol)
+        res = solve_stacked(field_of, y0s, taus, tol, tol)
     except NumericFailure as e:
-        raise SearchFailure(f"variational integration failed: {e}") from e
-    xT = res.y[:d, -1]
-    V = res.y[d:, -1].reshape(d, d)
-    return xT, V, J @ surface.gauge_grad(xT)
+        raise SearchFailure(f"orbits {', '.join(points)}: variational "
+                            f"integration failed: {e}") from e
+    ends = res.y[:, -1].reshape(len(taus), -1)
+    return {oid: (y[:d], y[d:].reshape(d, d), J @ surface.gauge_grad(y[:d]))
+            for oid, y in zip(points, ends)}
 
 
-def shoot_for_orbit(surface: Hypersurface, seed_point, period_guess: float,
-                    *, tol: float, int_tol: float,
-                    orbit_id: str) -> ClosedCharacteristic:
-    """Newton (Gauss-Newton) on the closure map of the canonical flow, to
-    closure and gauge residuals within ``tol`` with the flow at ``int_tol``.
+def shoot_for_orbit(surface: Hypersurface, seeds: dict, *, tol: float,
+                    int_tol: float) -> dict:
+    """Gauss-Newton on the closure map of the canonical flow, in lockstep
+    for every orbit id -> (seed point, period guess) of ``seeds``, to
+    closure and gauge residuals within ``tol`` with the flow at ``int_tol``;
+    returns orbit id -> its prime ``ClosedCharacteristic``, in seed order.
 
-    Unknowns (x0, tau); equations: flow closure, gauge level 1, and a phase
-    constraint pinning the time shift against the seed.  Convergence to an
-    iterate of a shorter orbit is detected and the prime period returned.
+    Per orbit the unknowns are (x0, tau) and the equations flow closure,
+    gauge level 1, and a phase constraint pinning the time shift against
+    the seed.  Each sweep solves every orbit that has not converged in one
+    stacked variational solve (``_closure_map``): a step is halved, up to
+    ``_BACKTRACKS`` times, until it lowers that orbit's residual norm, and
+    the trial points of all orbits still backtracking are solved together.
+    An orbit leaves the stack once its closure and gauge residuals are
+    within ``tol``; one that stalls, or has taken ``_NEWTON_ITER`` steps,
+    is a ``SearchFailure`` naming it.  The converged loops are integrated
+    in one stacked dense flow solve (``integrate_flow``).  A loop that
+    never leaves ``100 * tol`` of its start is the zero-period solution of
+    the closure equations, not an orbit, and fails.  The dense output gives
+    the prime-period test: a loop that closes at tau/m (convergence to an
+    iterate) is integrated again over tau/m alone.
     """
-    x0 = np.asarray(seed_point, dtype=float).copy()
-    x0 = x0 / surface.gauge(x0)
-    tau = float(period_guess)
-    v_phase = standard_J(surface.dim_n) @ surface.gauge_grad(x0)
-    x_ref = x0.copy()
     d = surface.dim
+    J = standard_J(surface.dim_n)
+    refs = {}                   # orbit id -> (x_ref, v_phase)
+    start = {}
+    for oid, (point, period) in seeds.items():
+        x0 = np.asarray(point, dtype=float)
+        x0 = x0 / surface.gauge(x0)
+        refs[oid] = (x0, J @ surface.gauge_grad(x0))
+        start[oid] = (x0, float(period))
 
-    def residual(x, t):
-        xT, V, f_end = _closure_map(surface, x, t, int_tol)
-        F = np.concatenate([xT - x,
-                            [surface.gauge(x) - 1.0],
-                            [np.dot(x - x_ref, v_phase)]])
-        Jac = np.zeros((d + 2, d + 1))
-        Jac[:d, :d] = V - np.eye(d)
-        Jac[:d, d] = f_end
-        Jac[d, :d] = surface.gauge_grad(x)
-        Jac[d + 1, :d] = v_phase
-        return F, Jac
+    def residuals(points):
+        ends = _closure_map(surface, points, int_tol)
+        out = {}
+        for oid, (x, t) in points.items():
+            xT, V, f_end = ends[oid]
+            x_ref, v_phase = refs[oid]
+            F = np.concatenate([xT - x,
+                                [surface.gauge(x) - 1.0],
+                                [np.dot(x - x_ref, v_phase)]])
+            Jac = np.zeros((d + 2, d + 1))
+            Jac[:d, :d] = V - np.eye(d)
+            Jac[:d, d] = f_end
+            Jac[d, :d] = surface.gauge_grad(x)
+            Jac[d + 1, :d] = v_phase
+            out[oid] = (x, t, F, Jac)
+        return out
 
-    F, Jac = residual(x0, tau)
-    norm0 = np.linalg.norm(F)
-    for it in range(_NEWTON_ITER):
-        if np.linalg.norm(F[:d]) <= tol and abs(F[d]) <= tol:
-            break
-        step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
-        lam = 1.0
-        for _bt in range(20):
-            x_try = x0 + lam * step[:d]
-            t_try = tau + lam * step[d]
-            if t_try <= 0:
-                lam *= 0.5
+    current = residuals(start)       # orbit id -> (x0, tau, F, Jac)
+    norm0 = {oid: np.linalg.norm(c[2]) for oid, c in current.items()}
+    steps = dict.fromkeys(seeds, 0)
+    active = list(seeds)
+    while active:
+        trials = {}                  # orbit id -> [step, lam, tries]
+        for oid in active:
+            F, Jac = current[oid][2:]
+            if steps[oid] == _NEWTON_ITER:
+                raise SearchFailure(
+                    f"orbit {oid}: shooting did not converge (residual "
+                    f"{np.linalg.norm(F):.3g} from initial {norm0[oid]:.3g})")
+            if np.linalg.norm(F[:d]) <= tol and abs(F[d]) <= tol:
                 continue
-            F_try, Jac_try = residual(x_try, t_try)
-            if np.linalg.norm(F_try) < np.linalg.norm(F):
+            step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
+            trials[oid] = [step, 1.0, 0]
+        active = list(trials)
+        while trials:
+            points = {}
+            for oid, trial in trials.items():
+                x, t, F = current[oid][:3]
+                step, lam, tries = trial
+                while tries < _BACKTRACKS and t + lam * step[d] <= 0:
+                    lam, tries = 0.5 * lam, tries + 1
+                if tries == _BACKTRACKS:
+                    raise SearchFailure(f"orbit {oid}: shooting stalled at "
+                                        f"residual {np.linalg.norm(F):.3g}")
+                trial[1:] = lam, tries
+                points[oid] = (x + lam * step[:d], t + lam * step[d])
+            for oid, tried in residuals(points).items():
+                if np.linalg.norm(tried[2]) < np.linalg.norm(current[oid][2]):
+                    current[oid] = tried
+                    steps[oid] += 1
+                    del trials[oid]
+                else:
+                    trials[oid][1] *= 0.5
+                    trials[oid][2] += 1
+
+    loops = integrate_flow(surface, {oid: current[oid][:2] for oid in seeds},
+                           tol=int_tol)
+    found = {}
+    for oid, traj in loops.items():
+        x0, tau = current[oid][:2]
+        if np.max(np.linalg.norm(traj.xs - x0, axis=1)) < 100.0 * tol:
+            raise SearchFailure(f"orbit {oid}: shooting collapsed onto its "
+                                f"seed (period {tau:.3g}); no orbit found")
+        prime_tau = tau
+        for m in range(_PRIME_CHECK_MAX, 1, -1):
+            if np.linalg.norm(traj.sol(tau / m) - x0) < 100.0 * tol:
+                prime_tau = tau / m
+                traj = integrate_flow(surface, {oid: (x0, prime_tau)},
+                                      tol=int_tol)[oid]
                 break
-            lam *= 0.5
-        else:
-            raise SearchFailure(
-                f"shooting stalled at residual {np.linalg.norm(F):.3g}")
-        x0, tau, F, Jac = x_try, t_try, F_try, Jac_try
-    else:
-        raise SearchFailure(
-            f"shooting did not converge (residual {np.linalg.norm(F):.3g} "
-            f"from initial {norm0:.3g})")
-
-    # one dense solve over tau; prime-vs-iterate: does it close at tau/m?
-    traj = integrate_flow(surface, x0, tau, tol=int_tol)
-    prime_tau = tau
-    for m in range(_PRIME_CHECK_MAX, 1, -1):
-        if np.linalg.norm(traj.sol(tau / m) - x0) < 100.0 * tol:
-            prime_tau = tau / m
-            traj = integrate_flow(surface, x0, prime_tau, tol=int_tol)
-            break
-    if traj.closure_residual > 100.0 * tol:
-        raise SearchFailure("closure degraded after prime-period reduction")
-    return ClosedCharacteristic(orbit_id=orbit_id, prime_period=float(prime_tau),
-                                trajectory=traj, provenance="shooting")
+        if traj.closure_residual > 100.0 * tol:
+            raise SearchFailure(f"orbit {oid}: closure degraded after "
+                                f"prime-period reduction")
+        found[oid] = ClosedCharacteristic(
+            orbit_id=oid, prime_period=float(prime_tau), trajectory=traj,
+            provenance="shooting")
+    return found
 
 
-def gate_orbit(surface: Hypersurface, orbit: ClosedCharacteristic, *,
-               closure_tol: float, int_tol: float) -> dict:
-    """Acceptance gate every orbit passes regardless of provenance: a fresh
-    integration over one prime period at the run's ``int_tol`` (DOP853's
-    rtol floor ``max(1e-2 * tol, 3e-14)`` leaves no room to tighten it) must
-    close within ``closure_tol``, and the loop must sit on the surface."""
-    re = integrate_flow(surface, orbit.trajectory.x0, orbit.prime_period,
-                        tol=int_tol)
-    sres = surface_residual(surface, orbit)
-    if re.closure_residual > closure_tol:
-        raise InvariantViolation(
-            f"orbit {orbit.orbit_id}: closure residual "
-            f"{re.closure_residual:.3g} above {closure_tol}")
-    if sres > _SURFACE_TOL:
-        raise InvariantViolation(
-            f"orbit {orbit.orbit_id}: off-surface by {sres:.3g}")
-    return {"closure": re.closure_residual, "surface": sres}
+def gate_orbit(surface: Hypersurface, orbits: list, *, closure_tol: float,
+               int_tol: float) -> dict:
+    """Acceptance gate every orbit passes regardless of provenance; returns
+    orbit id -> {"closure", "surface"}.
+
+    The flow at the run's ``int_tol`` over one prime period must close
+    within ``closure_tol`` (DOP853's rtol floor ``max(1e-2 * tol, 3e-14)``
+    leaves no room to tighten it), and the loop's samples must sit on the
+    surface within ``_SURFACE_TOL``.  The gate reuses a loop's own closure
+    residual only when that loop was integrated by this surface's flow
+    (``integrate_flow``) at ``int_tol`` over exactly ``prime_period``, as
+    every shot loop is; every other orbit (the analytic catalog, a loaded
+    registry, a Galerkin loop) is integrated afresh from its first sample,
+    all of them in one stacked solve.
+    """
+    def measured(orb):
+        traj = orb.trajectory
+        return (traj.flow is not None and traj.flow[0] is surface
+                and traj.flow[1] == int_tol
+                and traj.ts[-1] == orb.prime_period)
+
+    starts = {o.orbit_id: (o.trajectory.x0, o.prime_period)
+              for o in orbits if not measured(o)}
+    fresh = integrate_flow(surface, starts, tol=int_tol) if starts else {}
+    gates = {}
+    for orb in orbits:
+        closure = fresh.get(orb.orbit_id, orb.trajectory).closure_residual
+        sres = surface_residual(surface, orb)
+        if closure > closure_tol:
+            raise InvariantViolation(
+                f"orbit {orb.orbit_id}: closure residual "
+                f"{closure:.3g} above {closure_tol}")
+        if sres > _SURFACE_TOL:
+            raise InvariantViolation(
+                f"orbit {orb.orbit_id}: off-surface by {sres:.3g}")
+        gates[orb.orbit_id] = {"closure": closure, "surface": sres}
+    return gates
 
 
 def dedupe_orbits(orbits: list) -> list:
@@ -248,15 +317,15 @@ def dedupe_orbits(orbits: list) -> list:
 
 def find_orbits(surface: Hypersurface, *, tol: float, int_tol: float) -> list:
     """Orbit discovery: the analytic catalog of an ellipsoid; on a perturbed
-    ellipsoid, shooting (``shoot_for_orbit``) from each orbit of its base
-    ellipsoid's catalog."""
+    ellipsoid, shooting (``shoot_for_orbit``, all seeds in lockstep) from
+    each orbit of its base ellipsoid's catalog."""
     if surface.kind == "ellipsoid":
         return ellipsoid_catalog(surface)
     base = make_ellipsoid(surface.meta["radii"])
-    return dedupe_orbits([
-        shoot_for_orbit(surface, orb.trajectory.x0, orb.prime_period, tol=tol,
-                        int_tol=int_tol, orbit_id=f"y{k+1}")
-        for k, orb in enumerate(ellipsoid_catalog(base))])
+    seeds = {f"y{k+1}": (orb.trajectory.x0, orb.prime_period)
+             for k, orb in enumerate(ellipsoid_catalog(base))}
+    return dedupe_orbits(list(shoot_for_orbit(surface, seeds, tol=tol,
+                                              int_tol=int_tol).values()))
 
 
 def write_registry(orbits: list, fname, extra: dict):

@@ -188,15 +188,13 @@ def test_criterion_8_reduction_vs_shooting():
     for radii in ([1.0], RADII_2D):
         surface = make_ellipsoid(radii)
         catalog = ellipsoid_catalog(surface)
-        shot = []
         rng = np.random.default_rng(1)
-        for k, ref in enumerate(catalog):
-            seed_pt = ref.trajectory.x0 + 0.01 * rng.normal(
-                size=surface.dim)
-            orb = shoot_for_orbit(surface, seed_pt,
-                                  ref.prime_period * 1.01, tol=1e-10,
-                                  int_tol=1e-12, orbit_id=f"s{k+1}")
-            shot.append(orb)
+        seeds = {f"s{k+1}": (ref.trajectory.x0
+                             + 0.01 * rng.normal(size=surface.dim),
+                             ref.prime_period * 1.01)
+                 for k, ref in enumerate(catalog)}
+        shot = list(shoot_for_orbit(surface, seeds, tol=1e-10,
+                                    int_tol=1e-12).values())
         matched = 0
         for orb in shot:
             spec, sys, vec = reduced_critical_point(

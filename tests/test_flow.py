@@ -26,6 +26,11 @@ def with_hessian_offset(surface, offset):
     return replace(surface, jet=jet)
 
 
+def one_loop(surface, x0, t_end, **kw):
+    """The trajectory of the one start (x0, t_end)."""
+    return integrate_flow(surface, {"y": (x0, t_end)}, **kw)["y"]
+
+
 def one_path(surface, x0, tau, alpha, **kw):
     """The path of the one orbit (x0, tau)."""
     return integrate_linearized(surface, {"y": (x0, tau)}, alpha, **kw)["y"]
@@ -134,7 +139,7 @@ def test_circle_gauge_flow_is_rigid_rotation():
     # closed form, period 2 pi
     surf = make_ellipsoid([1.0])
     x0 = np.array([1.0, 0.0])
-    traj = integrate_flow(surf, x0, 2 * np.pi, tol=1e-12)
+    traj = one_loop(surf, x0, 2 * np.pi, tol=1e-12)
     assert traj.closure_residual <= 1e-9
     J = standard_J(1)
     exact = np.array([np.cos(t) * x0 + np.sin(t) * (J @ x0)
@@ -145,22 +150,22 @@ def test_circle_gauge_flow_is_rigid_rotation():
 def test_zero_time_is_rejected_by_the_integrator():
     surf = make_ellipsoid([1.0])
     with pytest.raises(InvalidArgument, match="forward only"):
-        integrate_flow(surf, np.array([1.0, 0.0]), 0.0, tol=1e-10)
+        one_loop(surf, np.array([1.0, 0.0]), 0.0, tol=1e-10)
 
 
 def test_axis_plane_invariance():
     # the unit circle of the first plane is a loop of period 2 pi; the
     # other plane stays at rest
     surf = make_ellipsoid([1.0, 2.0])
-    traj = integrate_flow(surf, np.array([1.0, 0.0, 0.0, 0.0]), 2 * np.pi,
-                          tol=1e-12)
+    traj = one_loop(surf, np.array([1.0, 0.0, 0.0, 0.0]), 2 * np.pi,
+                    tol=1e-12)
     assert np.max(np.abs(traj.xs[:, [1, 3]])) <= 1e-10
     assert traj.closure_residual <= 1e-9
 
 
 def test_energy_conservation_budget():
     surf = make_ellipsoid([1.0, 1.3])
-    traj = integrate_flow(surf, np.array([1.0, 0, 0, 0]), 4.0, tol=1e-10)
+    traj = one_loop(surf, np.array([1.0, 0, 0, 0]), 4.0, tol=1e-10)
     drift = np.max(np.abs(surf.gauge(traj.xs) - surf.gauge(traj.x0)))
     assert drift <= 10.0 * 1e-10 * 4.0
 

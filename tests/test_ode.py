@@ -98,16 +98,23 @@ def test_dop853_tiny_step_is_a_named_failure():
 
 
 def test_closure_map_tiny_step_is_a_search_failure():
-    # q' = q^2, p' = 0 from q = 1 leaves every bounded region at t = 1
+    # q' = q^2, p' = 0 from q = 1 leaves every bounded region at t = 1;
+    # gauge, grad and jet broadcast over leading axes, as a surface must
     def grad(x):
-        return np.array([0.0, -x[0]**2])
+        return np.stack([np.zeros_like(x[..., 0]), -x[..., 0]**2], axis=-1)
 
-    surface = Hypersurface(
-        1, lambda x: 1.0, grad,
-        lambda x: (grad(x), np.array([[0.0, 0.0], [-2.0 * x[0], 0.0]])),
-        "custom")
-    with pytest.raises(SearchFailure, match="variational integration"):
-        _closure_map(surface, np.array([1.0, 0.0]), 2.0, 1e-12)
+    def jet(x):
+        H = np.zeros(x.shape + (2,))
+        H[..., 1, 0] = -2.0 * x[..., 0]
+        return grad(x), H
+
+    surface = Hypersurface(1, lambda x: np.ones(np.shape(x)[:-1]), grad, jet,
+                           "custom")
+    # the failed solve names every orbit of its stack, the calm one too
+    with pytest.raises(SearchFailure, match="orbits blowup, calm: "
+                                            "variational integration"):
+        _closure_map(surface, {"blowup": (np.array([1.0, 0.0]), 2.0),
+                               "calm": (np.array([0.0, 0.0]), 2.0)}, 1e-12)
 
 
 # functions of x - c with one sign change, as charlab's brackets have
